@@ -13,7 +13,6 @@ from .data import (
     NonNumericCellError,
     NonPositiveTimeError,
     SurvivalDataset,
-    SurvivalRecord,
     load_csv,
     split_train_validation,
     write_csv,
@@ -25,7 +24,6 @@ from .estimators import (
     center_external,
     fit_feature_map_estimator,
     fit_kernel_estimator,
-    predict,
 )
 from .evaluation import (
     NoComparablePairsError,
@@ -63,7 +61,6 @@ from .model_selection import (
     ThetaGrid,
     cross_validate_gamma,
     fit_care,
-    predict_care,
     theta_grid,
     validation_loss,
 )

@@ -38,13 +38,6 @@ class BadEventFlagError(DataFormatError):
     pass
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    covariates: np.ndarray
-    time: float
-    censored: bool
-
-
 @dataclass
 class RiskSetIndex:
     """Sorted-time lookup structure shared by likelihood evaluations.
@@ -108,19 +101,8 @@ class SurvivalDataset:
         return self.times.shape[0]
 
     @property
-    def n_records(self) -> int:
-        return self.times.shape[0]
-
-    @property
     def dimension(self) -> int:
         return self.covariates.shape[1]
-
-    @property
-    def records(self) -> list[SurvivalRecord]:
-        return [
-            SurvivalRecord(self.covariates[i], float(self.times[i]), bool(self.censored[i]))
-            for i in range(len(self))
-        ]
 
     @property
     def events(self) -> np.ndarray:

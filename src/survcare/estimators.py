@@ -1,16 +1,17 @@
 """Fitted relative-risk estimators and centring of external predictors.
 
-Two interchangeable fitting routes minimise the same strongly convex
-penalised likelihood: the representer route works with coefficients over a
-basis subset of training points and suits any kernel; the feature-map route
-works in the primal weight space of a polynomial kernel and its cost per
-iteration does not grow with the training size beyond feature evaluation.
+Both fitting routes are one solve, ``_fit_penalised``, of the strongly convex
+penalised likelihood l(D theta) + gamma theta' P theta over a (design,
+penalty) pair: the representer route takes D and P over a basis subset of
+training points and suits any kernel; the feature-map route takes the
+centred non-constant features of a polynomial kernel, whose dimension does
+not grow with the training size.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .kernels import (
 )
 from .optimizer import OptimOptions, OptimResult, minimize_bfgs
 from .partial_likelihood import (
+    PenalisedProblem,
     RepresenterContext,
-    likelihood_gradient_weights,
     neg_log_partial_likelihood,
     penalized_gradient,
     preconditioned_gradient,
@@ -98,8 +99,49 @@ class KernelEstimator:
         )
 
 
-def predict(est: KernelEstimator, x) -> float:
-    return est.predict(x)
+def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
+                   options: OptimOptions | None) -> tuple[OptimResult, str | None]:
+    """Minimise l(D theta) + gamma theta' P theta from ``warm`` (zero when None).
+
+    Returns the result in theta coordinates, with the gradient norm and the
+    convergence flag of the penalised gradient, and the fit's warning if any.
+    """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    train = problem.dataset
+    m = problem.penalty.shape[0]
+    init = np.zeros(m) if warm is None else np.asarray(warm, dtype=float)
+    if init.shape != (m,):
+        raise ValueError(f"warm start must have length {m}")
+    fit_warning = None
+    if not train.events.any():
+        fit_warning = "all records censored: likelihood is constant, fitted function is zero"
+    if m == 0:  # empty basis: the centred span is {0}
+        loss = neg_log_partial_likelihood(np.zeros(len(train)), train)
+        return OptimResult(np.zeros(0), loss, 0.0, 0, True, [loss]), fit_warning
+    opts = options or OptimOptions()
+    # optimise in the preconditioned coordinates; the inner tolerance is
+    # tightened by the transform norm so the theta-space gradient meets the
+    # requested tolerance
+    scale = problem.scale(gamma)
+    transform_norm = float(np.abs(problem.from_beta * scale[:, None]).sum(axis=0).max())
+    inner = replace(opts, gradient_tolerance=max(
+        opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13))
+    result = minimize_bfgs(
+        lambda w: preconditioned_objective(w, problem, gamma),
+        lambda w: preconditioned_gradient(w, problem, gamma),
+        (problem.from_beta @ init) * scale,
+        inner,
+    )
+    theta = problem.to_beta @ (result.minimizer / scale)
+    grad_norm = float(np.abs(penalized_gradient(theta, problem, gamma)).max())
+    converged = grad_norm <= opts.gradient_tolerance
+    if not converged:
+        fit_warning = (fit_warning + "; " if fit_warning else "") + (
+            f"optimizer did not converge (gradient norm {grad_norm:.3e})"
+        )
+    return replace(result, minimizer=theta, gradient_norm=grad_norm,
+                   converged=converged), fit_warning
 
 
 def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: float,
@@ -111,73 +153,20 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
     fit on the same training data.  A prebuilt RepresenterContext can be
     passed to share basis and Gram computations across a gamma path.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if ctx is None:
         ctx = RepresenterContext.build(train, kernel)
-    m = ctx.basis_size
-    init = np.zeros(m) if warm is None else np.asarray(warm, dtype=float)
-    if init.shape != (m,):
-        raise ValueError(f"warm start must have length {m}")
-    if m == 0:
-        return KernelEstimator(
-            kernel=kernel,
-            basis_points=train.covariates[:0],
-            beta=np.zeros(0),
-            kbar_at_basis=np.zeros(0),
-            objective_trace=[neg_log_partial_likelihood(np.zeros(len(train)), train)],
-        )
-    opts = options or OptimOptions()
-    # optimise in the preconditioned coordinates; the inner tolerance is
-    # tightened by the transform norm so the beta-space gradient meets the
-    # requested tolerance, with a refinement fallback for the rare shortfall
-    scale = ctx.scale(gamma)
-    v = (ctx.from_beta @ init) * scale
-    transform_norm = float(np.abs(ctx.from_beta * scale[:, None]).sum(axis=0).max())
-    inner_tol = max(opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13)
-    trace: list[float] = []
-    converged = False
-    for _ in range(4):
-        inner_opts = OptimOptions(
-            gradient_tolerance=inner_tol,
-            max_iterations=opts.max_iterations,
-            armijo_slope=opts.armijo_slope,
-            backtrack_factor=opts.backtrack_factor,
-            initial_step=opts.initial_step,
-        )
-        result: OptimResult = minimize_bfgs(
-            lambda w: preconditioned_objective(w, ctx, gamma),
-            lambda w: preconditioned_gradient(w, ctx, gamma),
-            v,
-            inner_opts,
-        )
-        v = result.minimizer
-        trace.extend(result.trace if not trace else result.trace[1:])
-        beta = ctx.to_beta @ (v / scale)
-        grad_norm = float(np.abs(penalized_gradient(beta, ctx, gamma)).max())
-        if grad_norm <= opts.gradient_tolerance:
-            converged = True
-            break
-        if not result.converged:
-            break
-        inner_tol = max(0.1 * inner_tol, 1e-13)
-    fit_warning = None
-    if not train.events.any():
-        fit_warning = "all records censored: likelihood is constant, fitted function is zero"
-    if not converged:
-        fit_warning = (fit_warning + "; " if fit_warning else "") + (
-            f"optimizer did not converge (gradient norm {grad_norm:.3e})"
-        )
+    result, fit_warning = _fit_penalised(ctx, gamma, warm, options)
+    beta = result.minimizer
     return KernelEstimator(
         kernel=kernel,
         basis_points=train.covariates[ctx.basis],
         beta=beta,
         kbar_at_basis=ctx.kbar[ctx.basis],
-        converged=converged,
-        gradient_norm=grad_norm,
-        hilbert_norm_squared=float(beta @ ctx.khat @ beta),
+        converged=result.converged,
+        gradient_norm=result.gradient_norm,
+        hilbert_norm_squared=float(beta @ ctx.penalty @ beta),
         fit_warning=fit_warning,
-        objective_trace=trace,
+        objective_trace=result.trace,
     )
 
 
@@ -219,36 +208,22 @@ def fit_feature_map_estimator(train: SurvivalDataset, kernel: PolynomialKernel,
                               warm=None) -> FeatureMapEstimator:
     """Fit the same penalised objective in the polynomial feature space.
 
-    Minimises l(f_alpha) + gamma (sum_j alpha_j^2 + (c^{-1} sum_j alpha_j
-    P_n(phi_j))^2) over alpha, where P_n(phi_j) are training means of the
-    non-constant features and c is the constant feature value.
+    The design is the centred non-constant features and the penalty is
+    I + u u' with u = P_n(phi) / c, so the objective is l(f_alpha) +
+    gamma (sum_j alpha_j^2 + (c^{-1} sum_j alpha_j P_n(phi_j))^2), where
+    P_n(phi_j) are training means of the non-constant features and c is the
+    constant feature value.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if not isinstance(kernel, PolynomialKernel):
         raise TypeError("feature-map fitting requires a polynomial kernel")
     phi = feature_matrix(kernel, train.covariates)
     c = float(phi[0, -1])
-    phi_nc = phi[:, :-1]
-    means = phi_nc.mean(axis=0)
-    centred = phi_nc - means[None, :]
+    means = phi[:, :-1].mean(axis=0)
     u = means / c
-    q = phi_nc.shape[1]
-
-    def objective(alpha):
-        fvals = centred @ alpha
-        ua = float(u @ alpha)
-        return neg_log_partial_likelihood(fvals, train) + gamma * (float(alpha @ alpha) + ua * ua)
-
-    def grad(alpha):
-        fvals = centred @ alpha
-        w = likelihood_gradient_weights(fvals, train)
-        return centred.T @ w + 2.0 * gamma * (alpha + u * float(u @ alpha))
-
-    init = np.zeros(q) if warm is None else np.asarray(warm, dtype=float)
-    result = minimize_bfgs(objective, grad, init, options)
+    problem = PenalisedProblem.precondition(
+        train, phi[:, :-1] - means[None, :], np.eye(u.shape[0]) + np.outer(u, u))
+    result, fit_warning = _fit_penalised(problem, gamma, warm, options)
     alpha = result.minimizer
-    ua = float(u @ alpha)
     return FeatureMapEstimator(
         kernel=kernel,
         alpha=alpha,
@@ -256,9 +231,8 @@ def fit_feature_map_estimator(train: SurvivalDataset, kernel: PolynomialKernel,
         constant_c=c,
         converged=result.converged,
         gradient_norm=result.gradient_norm,
-        hilbert_norm_squared=float(alpha @ alpha) + ua * ua,
-        fit_warning=None if result.converged else
-        f"optimizer did not converge (gradient norm {result.gradient_norm:.3e})",
+        hilbert_norm_squared=float(alpha @ problem.penalty @ alpha),
+        fit_warning=fit_warning,
     )
 
 

@@ -268,10 +268,6 @@ class CareEstimator:
         }
 
 
-def predict_care(est: CareEstimator, x) -> float:
-    return est.predict(x)
-
-
 @dataclass
 class ExternalSpec:
     """An external predictor: a vectorised callable and/or cached value tables."""

@@ -1,4 +1,4 @@
-"""Negative log-partial likelihood, penalised objective, and representer basis.
+"""Negative log-partial likelihood, the penalised problem, and representer basis.
 
 The likelihood is
 
@@ -11,8 +11,10 @@ around +-30 during line searches are handled exactly; in the extreme-overshoot
 regime where the shifted suffix sum underflows entirely, the suffix maximum is
 used instead, which is enough for a line search to reject the step.
 
-The penalised objective over representer coefficients beta indexed by the
-basis A is
+Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
+columns are basis functions evaluated at the training points, and a penalty P,
+their Gram form in the Hilbert space (``PenalisedProblem``).  Over representer
+coefficients beta indexed by the basis A (``RepresenterContext``) this is
 
     l(f_beta) + gamma * sum_{i,j in A} khat(X_i, X_j) beta_i beta_j
 
@@ -150,17 +152,20 @@ def build_representer_basis(gram, constant_norm_sq: float) -> np.ndarray:
 
 
 @dataclass
-class RepresenterContext:
-    """Cached quantities for penalised fitting on one training dataset.
+class PenalisedProblem:
+    """The objective l(D theta) + gamma theta' P theta on one training dataset.
 
-    Everything is gamma-independent, so one context serves a whole
-    regularisation path.  Immutable after construction.
+    D (``design``, n x m) holds per-record values of m basis functions and P
+    (``penalty``, m x m) is their positive semi-definite Gram form, so every
+    fitting route is one choice of (D, P).  Everything stored is
+    gamma-independent, so one problem serves a whole regularisation path.
+    Immutable after construction.
 
-    Fitting does not run in beta coordinates directly: the penalty matrix and
-    the likelihood curvature are both severely ill-conditioned for smooth
-    kernels.  The context therefore prepares a two-stage linear change of
+    Fitting does not run in theta coordinates directly: the penalty and the
+    likelihood curvature are both severely ill-conditioned for smooth kernels.
+    ``precondition`` therefore prepares a two-stage linear change of
     variables.  First the penalty is whitened through an upper-triangular
-    Cholesky factor R of (khat + ridge); then the whitened design is rotated
+    Cholesky factor R of (P + ridge); then the whitened design is rotated
     into the eigenbasis Q of its own second-moment matrix, whose eigenvalues
     ``curvature`` proxy the likelihood Hessian.  Per regularisation level the
     fit scales these coordinates by sqrt(2 gamma + curvature), which makes
@@ -170,17 +175,62 @@ class RepresenterContext:
     """
 
     dataset: SurvivalDataset
+    design: np.ndarray        # D, n x m
+    penalty: np.ndarray       # P, m x m
+    prec_design: np.ndarray   # D in preconditioned coordinates
+    prec_penalty: np.ndarray  # P in preconditioned coordinates
+    curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
+    to_beta: np.ndarray       # theta = to_beta @ w
+    from_beta: np.ndarray     # w = from_beta @ theta
+
+    @classmethod
+    def precondition(cls, dataset: SurvivalDataset, design: np.ndarray, penalty: np.ndarray,
+                     **fields):
+        """Build the problem for (design, penalty); ``fields`` go to a subclass."""
+        m = penalty.shape[0]
+        ridge = max(np.trace(penalty) / m if m else 0.0, 1.0) * 1e-12
+        for _ in range(12):
+            try:
+                chol = np.linalg.cholesky(penalty + ridge * np.eye(m)).T
+                break
+            except np.linalg.LinAlgError:
+                ridge *= 100.0
+        else:
+            raise np.linalg.LinAlgError("penalty matrix is not positive semi-definite")
+        chol_inv = np.linalg.inv(chol)
+        whitened = design @ chol_inv
+        curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
+        curvature = np.maximum(curvature, 0.0)
+        prec_design = whitened @ rot
+        to_beta = chol_inv @ rot
+        prec_penalty = to_beta.T @ penalty @ to_beta
+        prec_penalty = 0.5 * (prec_penalty + prec_penalty.T)
+        from_beta = rot.T @ chol
+        arrays = (design, penalty, prec_design, prec_penalty, curvature, to_beta, from_beta)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(dataset, *arrays, **fields)
+
+    def fitted_values(self, theta) -> np.ndarray:
+        return self.design @ np.asarray(theta, dtype=float)
+
+    def scale(self, gamma: float) -> np.ndarray:
+        """Per-coordinate scaling sqrt(2 gamma + curvature) for one level."""
+        return np.sqrt(2.0 * gamma + self.curvature)
+
+
+@dataclass
+class RepresenterContext(PenalisedProblem):
+    """The representer route's problem: D = ktilde and P = khat over the basis.
+
+    ``basis`` indexes the training points whose centred kernel sections span
+    the fit, so theta is the coefficient vector beta of the module docstring.
+    """
+
     gram: GramMatrix
     constant_norm_sq: float
     basis: np.ndarray
     kbar: np.ndarray
-    ktilde: np.ndarray        # n x |basis|, ktilde(X_i, X_j) for j in basis
-    khat: np.ndarray          # |basis| x |basis| penalty matrix
-    prec_design: np.ndarray   # ktilde in preconditioned coordinates
-    prec_penalty: np.ndarray  # khat in preconditioned coordinates
-    curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
-    to_beta: np.ndarray       # beta = to_beta @ w
-    from_beta: np.ndarray     # w = from_beta @ beta
 
     @classmethod
     def build(cls, dataset: SurvivalDataset, kernel: KernelConfig) -> "RepresenterContext":
@@ -193,69 +243,42 @@ class RepresenterContext:
         kb = kbar[basis]
         khat = k[np.ix_(basis, basis)] - kb[:, None] - kb[None, :] + np.outer(kb, kb) * cns
         khat = 0.5 * (khat + khat.T)
-        m = basis.shape[0]
-        ridge = max(np.trace(khat) / m if m else 0.0, 1.0) * 1e-12
-        for _ in range(12):
-            try:
-                chol = np.linalg.cholesky(khat + ridge * np.eye(m)).T
-                break
-            except np.linalg.LinAlgError:
-                ridge *= 100.0
-        else:
-            raise np.linalg.LinAlgError("penalty matrix is not positive semi-definite")
-        chol_inv = np.linalg.inv(chol)
-        whitened = ktilde @ chol_inv
-        curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
-        curvature = np.maximum(curvature, 0.0)
-        prec_design = whitened @ rot
-        to_beta = chol_inv @ rot
-        prec_penalty = to_beta.T @ khat @ to_beta
-        prec_penalty = 0.5 * (prec_penalty + prec_penalty.T)
-        from_beta = rot.T @ chol
-        arrays = (basis, kbar, ktilde, khat, prec_design, prec_penalty,
-                  curvature, to_beta, from_beta)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return cls(dataset, gram, cns, basis, kbar, ktilde, khat,
-                   prec_design, prec_penalty, curvature, to_beta, from_beta)
+        basis.flags.writeable = False
+        kbar.flags.writeable = False
+        return cls.precondition(dataset, ktilde, khat, gram=gram, constant_norm_sq=cns,
+                                basis=basis, kbar=kbar)
 
     @property
     def basis_size(self) -> int:
         return self.basis.shape[0]
 
-    def fitted_values(self, beta) -> np.ndarray:
-        return self.ktilde @ np.asarray(beta, dtype=float)
 
-    def scale(self, gamma: float) -> np.ndarray:
-        """Per-coordinate scaling sqrt(2 gamma + curvature) for one level."""
-        return np.sqrt(2.0 * gamma + self.curvature)
-
-
-def penalized_objective(beta, ctx: RepresenterContext, gamma: float) -> float:
+def penalized_objective(beta, ctx: PenalisedProblem, gamma: float) -> float:
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    fvals = ctx.ktilde @ beta
-    return neg_log_partial_likelihood(fvals, ctx.dataset) + gamma * float(beta @ ctx.khat @ beta)
+    fvals = ctx.design @ beta
+    pen = gamma * float(beta @ ctx.penalty @ beta)
+    return neg_log_partial_likelihood(fvals, ctx.dataset) + pen
 
 
-def penalized_gradient(beta, ctx: RepresenterContext, gamma: float) -> np.ndarray:
+def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    fvals = ctx.ktilde @ beta
+    fvals = ctx.design @ beta
     u = likelihood_gradient_weights(fvals, ctx.dataset)
-    return ctx.ktilde.T @ u + 2.0 * gamma * (ctx.khat @ beta)
+    return ctx.design.T @ u + 2.0 * gamma * (ctx.penalty @ beta)
 
 
-def preconditioned_objective(v, ctx: RepresenterContext, gamma: float) -> float:
+def preconditioned_objective(v, ctx: PenalisedProblem, gamma: float) -> float:
     """Penalised objective in the scaled coordinates v (same function values).
 
-    The underlying coefficients are beta = to_beta @ (v / scale(gamma)).
+    The underlying coefficients are theta = to_beta @ (v / scale(gamma)).
     """
     v = np.asarray(v, dtype=float)
     w = v / ctx.scale(gamma)
@@ -264,7 +287,7 @@ def preconditioned_objective(v, ctx: RepresenterContext, gamma: float) -> float:
     return neg_log_partial_likelihood(fvals, ctx.dataset) + pen
 
 
-def preconditioned_gradient(v, ctx: RepresenterContext, gamma: float) -> np.ndarray:
+def preconditioned_gradient(v, ctx: PenalisedProblem, gamma: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     scale = ctx.scale(gamma)
     w = v / scale

@@ -101,11 +101,6 @@ class TestDatasetInvariants:
         np.testing.assert_array_equal(data.event_order, [3, 1, 0, 2])
         assert np.all(np.diff(data.times[data.event_order]) >= 0)
 
-    def test_records_view(self):
-        data = SurvivalDataset([[0.3]], [0.8], [True])
-        rec = data.records[0]
-        assert rec.time == 0.8 and rec.censored is True
-
     def test_arrays_immutable(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.times[0] = 0.5

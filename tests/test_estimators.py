@@ -14,7 +14,6 @@ from survcare import (
     fit_feature_map_estimator,
     fit_kernel_estimator,
     neg_log_partial_likelihood,
-    predict,
     simulate_dataset,
     true_f0,
 )
@@ -40,7 +39,7 @@ class TestFitKernelEstimator:
         ctx = RepresenterContext.build(small_dataset, sob1)
         est = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx)
         fitted = neg_log_partial_likelihood(ctx.fitted_values(est.beta), small_dataset) \
-            + 0.05 * float(est.beta @ ctx.khat @ est.beta)
+            + 0.05 * float(est.beta @ ctx.penalty @ est.beta)
         at_zero = neg_log_partial_likelihood(np.zeros(len(small_dataset)), small_dataset)
         assert fitted <= at_zero
 
@@ -57,11 +56,15 @@ class TestFitKernelEstimator:
         assert est.converged
         assert est.predict([0.7]) == 0.0
 
-    def test_all_censored_warns_and_zeroes(self, sob1):
+    @pytest.mark.parametrize("fit, kernel, coef", [
+        (fit_kernel_estimator, Sobolev1Kernel(shift=1.0), "beta"),
+        (fit_feature_map_estimator, PolynomialKernel(degree=2, shift=1.0), "alpha"),
+    ], ids=["representer", "feature_map"])
+    def test_all_censored_warns_and_zeroes(self, fit, kernel, coef):
         data = all_censored_dataset()
-        est = fit_kernel_estimator(data, sob1, 0.1)
+        est = fit(data, kernel, 0.1)
         assert est.fit_warning is not None and "censored" in est.fit_warning
-        np.testing.assert_allclose(est.beta, 0.0, atol=1e-12)
+        np.testing.assert_allclose(getattr(est, coef), 0.0, atol=1e-12)
 
     def test_trace_monotone(self, small_dataset, sob1):
         est = fit_kernel_estimator(small_dataset, sob1, 0.01)
@@ -78,7 +81,7 @@ class TestPredict:
             beta=np.zeros(ctx.basis_size),
             kbar_at_basis=ctx.kbar[ctx.basis],
         )
-        assert predict(est, [0.3]) == 0.0
+        assert est.predict([0.3]) == 0.0
         np.testing.assert_array_equal(est.predict_many([[0.1], [0.9]]), [0.0, 0.0])
 
     def test_training_point_matches_internal_fit_values(self, small_dataset, sob1):
@@ -142,6 +145,17 @@ class TestFeatureMapEstimator:
             gap = np.abs(rep.predict_many(data.covariates)
                          - fm.predict_many(data.covariates)).max()
             assert gap <= 1e-5
+        # the draw of acceptance criterion 4: both routes converge to one optimum
+        data, _ = simulate_dataset(uni_dgp, 50, 44)
+        for gamma in (1e-2, 1.0, 10.0):
+            objectives = []
+            for est in (fit_kernel_estimator(data, kernel, gamma),
+                        fit_feature_map_estimator(data, kernel, gamma)):
+                assert est.converged, est.fit_warning
+                objectives.append(
+                    neg_log_partial_likelihood(est.predict_many(data.covariates), data)
+                    + gamma * est.hilbert_norm_squared)
+            assert abs(objectives[0] - objectives[1]) <= 1e-10
 
     def test_norm_identity_against_bordered_oracle(self, uni_dgp):
         data, _ = simulate_dataset(uni_dgp, 30, 12)

@@ -13,7 +13,6 @@ from survcare import (
     fit_care,
     fit_kernel_estimator,
     neg_log_partial_likelihood,
-    predict_care,
     simulate_dataset,
     split_train_validation,
     theta_grid,
@@ -205,7 +204,7 @@ class TestPredictCare:
             kernel_estimator=fitted.kernel_estimator,
             externals=fitted.externals, theta=(0.0,), gamma=fitted.gamma)
         for x in ([0.2], [0.8]):
-            assert predict_care(clone, x) == pytest.approx(
+            assert clone.predict(x) == pytest.approx(
                 fitted.kernel_estimator.predict(x))
 
     def test_vertex_theta_equals_external(self, fitted):
@@ -213,7 +212,7 @@ class TestPredictCare:
             kernel_estimator=fitted.kernel_estimator,
             externals=fitted.externals, theta=(1.0,), gamma=fitted.gamma)
         for x in ([0.3], [0.6]):
-            assert predict_care(clone, x) == pytest.approx(fitted.externals[0].predict(x))
+            assert clone.predict(x) == pytest.approx(fitted.externals[0].predict(x))
 
     def test_interior_theta_between_components(self, fitted):
         clone = type(fitted)(
@@ -221,7 +220,7 @@ class TestPredictCare:
             externals=fitted.externals, theta=(0.4,), gamma=fitted.gamma)
         for x in ([0.25], [0.75]):
             parts = [fitted.kernel_estimator.predict(x), fitted.externals[0].predict(x)]
-            value = predict_care(clone, x)
+            value = clone.predict(x)
             assert min(parts) - 1e-12 <= value <= max(parts) + 1e-12
 
 

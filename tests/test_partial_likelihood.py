@@ -135,7 +135,7 @@ class TestPenalizedObjective:
         ctx = RepresenterContext.build(data, sob1)
         rng = np.random.default_rng(1)
         beta = rng.normal(size=ctx.basis_size)
-        expected = 2.0 * float(beta @ ctx.khat @ beta)
+        expected = 2.0 * float(beta @ ctx.penalty @ beta)
         assert penalized_objective(beta, ctx, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_bordered_quadratic_oracle(self, ctx, small_dataset):
@@ -152,7 +152,7 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(4)
         for _ in range(10):
             beta = rng.normal(0, 2, ctx.basis_size)
-            direct = float(beta @ ctx.khat @ beta)
+            direct = float(beta @ ctx.penalty @ beta)
             assert direct == pytest.approx(bordered_norm_oracle(ctx, beta), rel=1e-9)
 
     def test_convex_along_segments(self, ctx):
@@ -168,11 +168,11 @@ class TestPenalizedObjective:
             penalized_objective(np.zeros(ctx.basis_size), ctx, 0.0)
 
     def test_centering_of_ktilde_columns(self, ctx):
-        assert np.abs(ctx.ktilde.mean(axis=0)).max() <= 1e-10
+        assert np.abs(ctx.design.mean(axis=0)).max() <= 1e-10
 
     def test_khat_symmetric_psd(self, ctx):
-        np.testing.assert_allclose(ctx.khat, ctx.khat.T, atol=1e-12)
-        evals = np.linalg.eigvalsh(ctx.khat)
+        np.testing.assert_allclose(ctx.penalty, ctx.penalty.T, atol=1e-12)
+        evals = np.linalg.eigvalsh(ctx.penalty)
         assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
 
 
@@ -197,7 +197,7 @@ class TestPenalizedGradient:
         rng = np.random.default_rng(7)
         beta = rng.normal(size=ctx.basis_size)
         np.testing.assert_allclose(
-            penalized_gradient(beta, ctx, 1.5), 2 * 1.5 * (ctx.khat @ beta), rtol=1e-12)
+            penalized_gradient(beta, ctx, 1.5), 2 * 1.5 * (ctx.penalty @ beta), rtol=1e-12)
 
     def test_zero_at_fitted_minimum(self, small_dataset, sob1):
         from survcare import fit_kernel_estimator
