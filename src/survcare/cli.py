@@ -449,8 +449,11 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
 
     Deterministic for a fixed seed regardless of the worker count: every
     replication is seeded independently from (seed, n, rep) and rows are
-    assembled in sorted order.
+    assembled in sorted order.  At most one worker process per replication is
+    started; ``workers`` below 1 is a configuration error.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     grid = _gamma_grid(config["gamma_grid"])
     payloads = [
         {
@@ -468,7 +471,10 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
         for n in config["n_values"]
         for rep in range(config["replications"])
     ]
+    workers = min(workers, len(payloads))
     if workers > 1:
+        # the pool starts all of its processes up front, so never more than
+        # there are replications
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_study_replication, payloads))
     else:

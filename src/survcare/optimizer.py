@@ -47,8 +47,9 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     1 / (1 + ||g0||) and is updated by the standard rank-two formula; updates
     are skipped when the curvature s'y is not safely positive.  Convergence is
     declared when the infinity norm of the gradient drops below the tolerance.
-    On a failed line search (no Armijo decrease within 60 halvings) the best
-    iterate found so far is returned with ``converged=False``.
+    On a failed line search (no Armijo decrease within 60 halvings) or a
+    non-finite gradient the best iterate with a finite gradient is returned
+    with ``converged=False``.
     """
     opts = options or OptimOptions()
     x = np.array(init, dtype=float)
@@ -62,11 +63,12 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     h = np.eye(dim) / (1.0 + float(np.linalg.norm(g)))
     trace = [fx]
     iterations = 0
-    converged = float(np.abs(g).max()) <= opts.gradient_tolerance
+    finite = bool(np.all(np.isfinite(g)))
+    converged = finite and float(np.abs(g).max()) <= opts.gradient_tolerance
 
     buf1 = np.empty((dim, dim))
     buf2 = np.empty((dim, dim))
-    while not converged and iterations < opts.max_iterations:
+    while finite and not converged and iterations < opts.max_iterations:
         direction = -(h @ g)
         slope = float(g @ direction)
         if slope >= 0.0:
@@ -88,6 +90,8 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
         if not accepted:
             break
         g_new = np.asarray(gradient(x_new), dtype=float)
+        if not np.all(np.isfinite(g_new)):
+            break  # no usable search direction from x_new; keep the last iterate
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)

@@ -9,7 +9,9 @@ subject's own term is always included and S(f, T_i) > 0.  Evaluation shifts by
 the running maximum of f before exponentiating (log-sum-exp), so values of f
 around +-30 during line searches are handled exactly; in the extreme-overshoot
 regime where the shifted suffix sum underflows entirely, the suffix maximum is
-used instead, which is enough for a line search to reject the step.
+used instead, which is enough for a line search to reject the step.  When f
+spreads beyond the exponent range the gradient weights are computed in log
+space instead, so they stay finite however far f spreads.
 
 Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
 columns are basis functions evaluated at the training points, and a penalty P,
@@ -24,6 +26,13 @@ khat(x, y) = k(x, y) - kbar(x) - kbar(y) + kbar(x) kbar(y) * cns with cns the
 squared Hilbert norm of the constant.  By construction every f_beta has zero
 empirical mean, so the quadratic form is exactly the squared Hilbert norm of
 f_beta and the objective is strongly convex.
+
+The basis A holds the training points whose bordered columns (the Gram
+matrix of the constant and the kernel sections) are linearly independent of
+the columns before them: a column-skipping Cholesky factorisation accepts a
+point when its Schur-complement diagonal, the squared Hilbert distance of
+k(., X_j) from the span of the constant and the sections accepted before it,
+exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest bordered entry.
 """
 
 from __future__ import annotations
@@ -35,9 +44,12 @@ import numpy as np
 from .data import SurvivalDataset
 from .kernels import GramMatrix, KernelConfig, constant_norm_squared, gram_matrix
 
-# Pivots below this fraction of the largest entry of the bordered matrix are
-# treated as zero during Gaussian elimination.
-RREF_PIVOT_TOL = 1e-10
+# A training point joins the representer basis when the Schur-complement
+# diagonal of its bordered column, given the columns accepted before it,
+# exceeds this fraction of the largest entry of the bordered matrix.
+SCHUR_DIAGONAL_REL_TOL = 1e-10
+# Columns per block of the basis factorisation: one matrix product per block.
+_BASIS_BLOCK = 64
 
 
 def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
@@ -92,51 +104,39 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
     # suffix sum, so shifted * cumulative(1/Stilde) stays bounded by 1 per term.
     inv_sums = np.zeros(n)
-    if ev.any():
-        inv_sums[ev] = np.exp(-(log_suffix[ev] - (fs.max())))
-    cum = np.cumsum(inv_sums)[idx.group_end]
-    u_sorted = (shifted * cum - ev) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ev.any():
+            inv_sums[ev] = np.exp(-(log_suffix[ev] - (fs.max())))
+        cum = np.cumsum(inv_sums)[idx.group_end]
+        u_sorted = (shifted * cum - ev) / n
+    if not np.all(np.isfinite(u_sorted)):
+        # f spreads by more than the exponent range, so some 1/Stilde
+        # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
+        neg_log_sums = np.full(n, -np.inf)
+        neg_log_sums[ev] = -log_suffix[ev]
+        log_cum = np.logaddexp.accumulate(neg_log_sums)[idx.group_end]
+        u_sorted = (np.exp(fs + log_cum) - ev) / n
     u = np.empty(n)
     u[idx.order] = u_sorted
     return u
 
 
-def rref_pivot_columns(matrix: np.ndarray, rel_tol: float = RREF_PIVOT_TOL) -> list[int]:
-    """Pivot-column indices of the reduced row echelon form.
-
-    Gaussian elimination with partial pivoting; a candidate pivot counts only
-    if its magnitude exceeds rel_tol times the largest entry of the input.
-    """
-    a = np.array(matrix, dtype=float)
-    n_rows, n_cols = a.shape
-    tol = rel_tol * max(float(np.abs(a).max()), np.finfo(float).tiny)
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        sub = np.abs(a[row:, col])
-        best = int(np.argmax(sub))
-        if sub[best] <= tol:
-            continue
-        if best:
-            a[[row, row + best]] = a[[row + best, row]]
-        a[row] /= a[row, col]
-        col_vals = a[:, col].copy()
-        col_vals[row] = 0.0
-        a -= np.outer(col_vals, a[row])
-        pivots.append(col)
-        row += 1
-    return pivots
-
-
 def build_representer_basis(gram, constant_norm_sq: float) -> np.ndarray:
-    """Indices of training points whose bordered kernel rows form a basis.
+    """Indices of training points whose bordered kernel columns form a basis.
 
-    Builds the (n+1) x (n+1) matrix with top-left ``constant_norm_sq``, a
-    border of ones and the Gram matrix as the body, and returns the
-    one-decremented pivot columns of its reduced row echelon form, restricted
-    to the training indices.  Output is sorted ascending (0-based).
+    The (n+1) x (n+1) bordered matrix, with top-left ``constant_norm_sq``, a
+    border of ones and the Gram matrix as the body, is the Hilbert-space Gram
+    matrix of (1, k(., X_1), ..., k(., X_n)), so it is positive semi-definite.
+    Its leftmost linearly independent columns are found by a left-looking
+    Cholesky factorisation that skips columns: column j is accepted when its
+    Schur-complement diagonal given the accepted columns before it (the
+    squared distance of its function from their span) exceeds
+    ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of the bordered
+    matrix, and skipped otherwise.  Blocks of columns take their Schur
+    complement with one matrix product against the factor so far; within a
+    block each accepted column updates only the block's later columns.
+    Returns the accepted training indices (the constant's column excluded),
+    sorted ascending and 0-based.
     """
     k = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if constant_norm_sq <= 0:
@@ -147,8 +147,24 @@ def build_representer_basis(gram, constant_norm_sq: float) -> np.ndarray:
     bordered[0, 1:] = 1.0
     bordered[1:, 0] = 1.0
     bordered[1:, 1:] = k
-    pivots = rref_pivot_columns(bordered)
-    return np.array(sorted(c - 1 for c in pivots if c >= 1), dtype=int)
+    tol = SCHUR_DIAGONAL_REL_TOL * max(float(np.abs(bordered).max()), np.finfo(float).tiny)
+    # column r holds the r-th accepted column of the factor; rows above its
+    # own index are never read
+    factor = np.zeros((n + 1, n + 1))
+    accepted: list[int] = []
+    for start in range(0, n + 1, _BASIS_BLOCK):
+        stop = min(start + _BASIS_BLOCK, n + 1)
+        r = len(accepted)
+        schur = bordered[start:, start:stop] - factor[start:, :r] @ factor[start:stop, :r].T
+        for c in range(stop - start):
+            diag = schur[c, c]
+            if not diag > tol:
+                continue
+            col = schur[c:, c] / np.sqrt(diag)
+            factor[start + c:, len(accepted)] = col
+            accepted.append(start + c)
+            schur[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:stop - start - c]
+    return np.array([j - 1 for j in accepted if j >= 1], dtype=int)
 
 
 @dataclass

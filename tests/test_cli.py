@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from survcare import KernelEstimator, load_csv
+import survcare.cli
 from survcare.cli import main
 
 
@@ -240,7 +241,38 @@ class TestStudy:
         assert main(["study", "--config", cfg, "--out", out, "--quiet"]) == 5
 
     def test_kernel_only_study(self, tmp_path):
-        cfg = write_json(tmp_path / "study.json", {
+        cfg = self.small_study(tmp_path)
+        out = str(tmp_path / "study")
+        assert main(["study", "--config", cfg, "--out", out, "--quiet"]) == 0
+        with open(f"{out}_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["estimator"] for r in rows} == {"cv_kernel", "oracle_kernel"}
+
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        """Record the pool sizes run_study asks for; map runs in-process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(survcare.cli, "ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    @staticmethod
+    def small_study(tmp_path):
+        """Two kernel-only replications at n=20."""
+        return write_json(tmp_path / "study.json", {
             "dgp": "univariate",
             "kernel": {"variant": "sobolev1", "shift": 1.0},
             "gamma_grid": {"min": 1e-2, "max": 1.0, "count": 3, "geometric": True},
@@ -249,8 +281,19 @@ class TestStudy:
             "mc_points": 50,
             "seed": 2,
         })
+
+    def test_workers_capped_at_replications(self, tmp_path, pool_sizes):
+        cfg = self.small_study(tmp_path)
         out = str(tmp_path / "study")
-        assert main(["study", "--config", cfg, "--out", out, "--quiet"]) == 0
-        with open(f"{out}_results.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert {r["estimator"] for r in rows} == {"cv_kernel", "oracle_kernel"}
+        assert main(["study", "--config", cfg, "--out", out, "--quiet",
+                     "--workers", "5000"]) == 0
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, pool_sizes, capsys, workers):
+        cfg = self.small_study(tmp_path)
+        out = str(tmp_path / "study")
+        assert main(["study", "--config", cfg, "--out", out, "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert pool_sizes == []
+        assert not os.path.exists(f"{out}_results.csv")

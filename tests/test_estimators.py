@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from basis_oracle import rref_basis
 from conftest import all_censored_dataset
 from survcare import (
     CenteredExternal,
+    DgpConfig,
+    GaussianKernel,
     KernelEstimator,
     PolynomialKernel,
     Sobolev1Kernel,
@@ -17,6 +20,7 @@ from survcare import (
     simulate_dataset,
     true_f0,
 )
+from survcare import partial_likelihood
 from survcare.kernels import NotInSpaceError, feature_matrix
 from survcare.partial_likelihood import RepresenterContext
 
@@ -65,6 +69,26 @@ class TestFitKernelEstimator:
         est = fit(data, kernel, 0.1)
         assert est.fit_warning is not None and "censored" in est.fit_warning
         np.testing.assert_allclose(getattr(est, coef), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("basis, n, seed, lengthscale, gamma", [
+        ("row_reduction", 120, 1, 0.05, 1e-4),
+        ("cholesky", 120, 2, 0.03, 1e-5),
+    ])
+    def test_overflowing_gradient_gives_finite_fit(self, monkeypatch, basis, n, seed,
+                                                   lengthscale, gamma):
+        # short lengthscales let BFGS reach iterates whose f values spread
+        # beyond the exponent range; each draw raised "relative-risk values
+        # must be finite" when the gradient weights overflowed to NaN
+        if basis == "row_reduction":
+            monkeypatch.setattr(partial_likelihood, "build_representer_basis",
+                                lambda gram, cns: rref_basis(gram.entries, cns))
+        data, _ = simulate_dataset(DgpConfig("univariate"), n, seed)
+        kernel = GaussianKernel(shift=1.0, lengthscales=(lengthscale,))
+        est = fit_kernel_estimator(data, kernel, gamma)
+        assert np.all(np.isfinite(est.beta))
+        assert np.all(np.isfinite(est.predict_many(data.covariates)))
+        if not est.converged:
+            assert est.fit_warning is not None and "did not converge" in est.fit_warning
 
     def test_trace_monotone(self, small_dataset, sob1):
         est = fit_kernel_estimator(small_dataset, sob1, 0.01)

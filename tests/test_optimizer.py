@@ -133,3 +133,22 @@ def test_immediate_convergence_at_optimum():
     assert result.converged
     assert result.iterations == 0
     assert result.trace == [0.0]
+
+
+def test_non_finite_gradient_stops_unconverged():
+    # the gradient breaks down past x = 0.5; the first step lands at x = 2/3
+    def f(x):
+        return float((x[0] - 1.0) ** 2)
+
+    def g(x):
+        return np.array([2.0 * (x[0] - 1.0) if x[0] < 0.5 else np.nan])
+
+    result = minimize_bfgs(f, g, np.array([0.0]))
+    assert not result.converged
+    np.testing.assert_array_equal(result.minimizer, [0.0])
+    assert result.iterations == 0
+    assert np.isfinite(result.gradient_norm)
+
+    at_start = minimize_bfgs(f, g, np.array([0.75]))
+    assert not at_start.converged
+    assert at_start.iterations == 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from basis_oracle import bordered_matrix, rref_pivot_columns
 from conftest import all_censored_dataset
 from survcare import (
     GaussianKernel,
@@ -19,21 +20,11 @@ from survcare import (
 )
 from survcare.partial_likelihood import (
     RepresenterContext,
+    likelihood_gradient_weights,
     preconditioned_gradient,
     preconditioned_objective,
-    rref_pivot_columns,
 )
 from survcare.simulation import DgpConfig
-
-
-def bordered_matrix(gram_entries, cns):
-    n = gram_entries.shape[0]
-    out = np.empty((n + 1, n + 1))
-    out[0, 0] = cns
-    out[0, 1:] = 1.0
-    out[1:, 0] = 1.0
-    out[1:, 1:] = gram_entries
-    return out
 
 
 def bordered_norm_oracle(ctx, beta):
@@ -86,6 +77,31 @@ class TestLikelihood:
         bad[0] = np.inf
         with pytest.raises(ValueError):
             neg_log_partial_likelihood(bad, small_dataset)
+
+
+def naive_gradient_weights(f, data):
+    """O(n^2) reference in log space: u_p is (1/n) times the sum over events i
+    at risk with p of exp(f_p - log sum_{j at risk at T_i} exp(f_j)), minus
+    (1/n) when p is an event."""
+    times, events = data.times, data.events
+    u = -events.astype(float)
+    for i in np.flatnonzero(events):
+        at_risk = times >= times[i]
+        u[at_risk] += np.exp(f[at_risk] - np.logaddexp.reduce(f[at_risk]))
+    return u / len(data)
+
+
+class TestGradientWeights:
+    # a half-width of 2000 spreads f by about 4000, which overflows
+    # 1 / (shifted suffix sum) and takes the log-space path
+    @pytest.mark.parametrize("half_width", [3.0, 2000.0])
+    def test_match_naive_reference(self, small_dataset, half_width):
+        rng = np.random.default_rng(12)
+        f = rng.uniform(-half_width, half_width, len(small_dataset))
+        u = likelihood_gradient_weights(f, small_dataset)
+        np.testing.assert_allclose(u, naive_gradient_weights(f, small_dataset),
+                                   rtol=1e-12, atol=1e-15)
+        assert abs(u.sum()) <= 1e-12  # the weights of a shift-invariant loss sum to zero
 
 
 class TestRepresenterBasis:
