@@ -59,6 +59,14 @@ class KernelEstimator:
     objective_trace: list[float] | None = None
 
     def predict_many(self, xs) -> np.ndarray:
+        return self._centred_sections(xs) @ self.beta
+
+    def _centred_sections(self, xs) -> np.ndarray:
+        """The (len(xs), basis size) matrix of k(x, X_j) - kbar(X_j).
+
+        It depends on the training sample and the basis only, so every fit of
+        one regularisation path shares it.
+        """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
@@ -67,9 +75,8 @@ class KernelEstimator:
                 f"expected dimension {self.basis_points.shape[1]}, got {xs.shape[1]}"
             )
         if self.beta.size == 0:  # empty basis: the centred span is {0}
-            return np.zeros(xs.shape[0])
-        k = cross_matrix(self.kernel, xs, self.basis_points)
-        return (k - self.kbar_at_basis[None, :]) @ self.beta
+            return np.zeros((xs.shape[0], 0))
+        return cross_matrix(self.kernel, xs, self.basis_points) - self.kbar_at_basis[None, :]
 
     def predict(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))

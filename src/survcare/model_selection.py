@@ -2,9 +2,15 @@
 
 The regularisation path is fitted in decreasing order, warm-starting each fit
 at the previous solution; only the optimisation is repeated per level since
-the representer context is shared.  Aggregation with external predictors then
-scans a simplex lattice of convex weights against cached validation
-predictions, so the scan costs O(|Theta| * n) flops per level.
+the representer context is shared.  The validation predictions of every level
+come from one cross matrix between the validation points and the basis,
+computed once per path.  Aggregation with external predictors then scans a
+simplex lattice of convex weights against those cached predictions.  The scan
+costs O(|Theta| * n) flops per level, spent in ceil(|Theta| / _ROW_BLOCK)
+stacked likelihood calls: the combinations of one block of weight vectors are
+reordered once by the validation set's cached sort order and share one
+exponential, suffix-sum and log pass, where a per-vector loop would repeat
+that work, and the call overhead, for every weight vector.
 
 Ties are broken toward the smallest regularisation value and then the
 lexicographically smallest weight vector, which fixes a total order for the
@@ -14,6 +20,7 @@ selection and makes reruns deterministic.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +34,7 @@ from .estimators import (
 )
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
-from .partial_likelihood import RepresenterContext, neg_log_partial_likelihood
+from .partial_likelihood import _ROW_BLOCK, RepresenterContext, neg_log_partial_likelihood
 
 THETA_GRID_LIMIT = 1_000_000
 
@@ -69,16 +76,15 @@ class ThetaGrid:
     points: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        pts = tuple(tuple(float(t) for t in p) for p in self.points)
-        if len(pts) == 0:
-            raise ValueError("theta grid must be non-empty")
-        m = len(pts[0])
-        for p in pts:
-            if len(p) != m:
-                raise ValueError("theta points must have equal length")
-            if any(t < 0 for t in p) or sum(p) > 1 + 1e-12:
-                raise ValueError("theta points must lie in the simplex")
-        object.__setattr__(self, "points", pts)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except ValueError:  # ragged or non-numeric
+            pts = None
+        if pts is None or pts.ndim != 2 or len(pts) == 0:
+            raise ValueError("theta grid must be a non-empty sequence of equal-length points")
+        if not ((pts >= 0).all() and (pts.sum(axis=1) <= 1 + 1e-12).all()):
+            raise ValueError("theta points must lie in the simplex")
+        object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
 
     @property
     def num_externals(self) -> int:
@@ -89,7 +95,15 @@ class ThetaGrid:
 
 
 def theta_grid(num_externals: int, resolution: int) -> ThetaGrid:
-    """All lattice points k/resolution in the simplex, vertices included."""
+    """All lattice points k/resolution in the simplex, vertices included.
+
+    The points come in lexicographic order of k.  They are enumerated by
+    stars and bars: num_externals bars among resolution + num_externals
+    slots, where the stars before the first bar and between consecutive bars
+    are the parts k_1, ..., k_M and the stars after the last bar the kernel's
+    share.  Bar positions in lexicographic order give the parts in
+    lexicographic order.
+    """
     if num_externals < 1:
         raise ValueError("num_externals must be >= 1")
     if resolution < 1:
@@ -98,22 +112,21 @@ def theta_grid(num_externals: int, resolution: int) -> ThetaGrid:
     if size > THETA_GRID_LIMIT:
         raise ValueError(f"theta grid would have {size} points (limit {THETA_GRID_LIMIT})")
 
-    points: list[tuple[float, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == num_externals - 1:
-            for k in range(remaining + 1):
-                points.append(tuple((*prefix, k)))
-            return
-        for k in range(remaining + 1):
-            extend((*prefix, k), remaining - k)
-
-    extend((), resolution)
-    return ThetaGrid(tuple(tuple(k / resolution for k in p) for p in points))
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(resolution + num_externals), num_externals)),
+        dtype=np.intp, count=size * num_externals,
+    ).reshape(size, num_externals)
+    parts = np.diff(bars, axis=1, prepend=-1) - 1
+    return ThetaGrid(parts / resolution)
 
 
-def validation_loss(predicted, valid: SurvivalDataset) -> float:
-    """Negative log-partial likelihood of predictions on the validation data."""
+def validation_loss(predicted, valid: SurvivalDataset) -> float | np.ndarray:
+    """Negative log-partial likelihood of predictions on the validation data.
+
+    ``predicted`` is one prediction vector, giving a float, or a (P, n) stack
+    of them, giving the P losses.
+    """
     return neg_log_partial_likelihood(predicted, valid)
 
 
@@ -183,7 +196,10 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
                     grid: GammaGrid, options: OptimOptions | None):
     """Fit every grid value in decreasing order with warm starts.
 
-    Returns (fits, report_entries, valid_predictions) keyed/ordered by gamma.
+    Returns (ctx, fits, report_entries, valid_predictions) keyed/ordered by
+    gamma.  Every fit shares the basis and kbar of ctx, so the centred cross
+    matrix between the validation points and the basis is computed once and
+    each level's validation predictions are one product with its beta.
     """
     if train.dimension != valid.dimension:
         raise ValueError("training and validation dimensions differ")
@@ -191,12 +207,15 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
     fits: dict[float, KernelEstimator] = {}
     entries: dict[float, GammaEntry] = {}
     valid_preds: dict[float, np.ndarray] = {}
+    valid_sections = None
     warm = None
     for gamma in reversed(grid.values):
         est = fit_kernel_estimator(train, kernel, gamma, options, warm=warm, ctx=ctx)
         warm = est.beta
         train_loss = neg_log_partial_likelihood(ctx.fitted_values(est.beta), train)
-        preds = est.predict_many(valid.covariates)
+        if valid_sections is None:
+            valid_sections = est._centred_sections(valid.covariates)
+        preds = valid_sections @ est.beta
         fits[gamma] = est
         valid_preds[gamma] = preds
         entries[gamma] = GammaEntry(
@@ -351,14 +370,18 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
     for e in entries:  # ascending gamma
         if not e.converged:
             continue
-        combos = np.outer(kernel_weight, valid_preds[e.gamma]) + theta_mat @ centred_valid
-        local_best = None
-        local_loss = math.inf
-        for p, theta in enumerate(thetas.points):  # lexicographic order
-            loss = validation_loss(combos[p], valid)
-            care_entries.append(CareEntry(gamma=e.gamma, theta=theta, valid_loss=loss))
-            if loss < local_loss:
-                local_best, local_loss = theta, loss
+        preds = valid_preds[e.gamma]
+        losses = np.empty(len(thetas))
+        for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
+            rows = slice(start, start + _ROW_BLOCK)
+            combos = kernel_weight[rows, None] * preds + theta_mat[rows] @ centred_valid
+            losses[rows] = validation_loss(combos, valid)
+        care_entries.extend(CareEntry(gamma=e.gamma, theta=theta, valid_loss=loss)
+                            for theta, loss in zip(thetas.points, losses.tolist()))
+        # the points are in lexicographic order, so the first minimiser is the
+        # lexicographically smallest
+        p = int(np.argmin(losses))
+        local_best, local_loss = thetas.points[p], float(losses[p])
         best_theta_per_gamma[e.gamma] = local_best
         if local_loss < best_loss:
             best, best_loss = (e.gamma, local_best), local_loss

@@ -50,44 +50,70 @@ from .kernels import GramMatrix, KernelConfig, constant_norm_squared, gram_matri
 SCHUR_DIAGONAL_REL_TOL = 1e-10
 # Columns per block of the basis factorisation: one matrix product per block.
 _BASIS_BLOCK = 64
+# Rows of a stacked likelihood scored per pass of sort, exp, suffix sum and log.
+_ROW_BLOCK = 128
 
 
 def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
-    """Per sorted position p: log sum_{q >= group_start(p)} exp(fs_q).
+    """Per event, in sorted order: log sum_{q >= group_start(p)} exp(fs_q).
 
-    Returns (idx, fs, log_suffix, shifted_exp) where idx is the dataset's risk
-    index, fs the sorted f values and shifted_exp = exp(fs - global max).
+    Works down the first axis, so ``fvalues`` is one vector of n values or an
+    (n, P) matrix holding one such vector per column.  Returns (idx, fs,
+    log_risk, shifted_exp) where idx is the dataset's risk index, fs the
+    sorted f values, log_risk has one row per event at sorted position p,
+    and shifted_exp = exp(fs - column max).
     """
     idx = data.risk_index()
     fs = fvalues[idx.order]
-    m = float(fs.max())
+    m = fs.max(axis=0)
     shifted = np.exp(fs - m)
-    suffix = np.cumsum(shifted[::-1])[::-1]
-    starts = idx.group_start
+    suffix = np.cumsum(shifted[::-1], axis=0)[::-1]
+    starts = idx.group_start[idx.event_sorted]
     sums = suffix[starts]
     with np.errstate(divide="ignore"):
-        log_suffix = m + np.log(sums)
+        log_risk = m + np.log(sums)
     if not np.all(sums > 0.0):
         # all terms in some suffix underflowed; fall back to the suffix max
-        rev_max = np.maximum.accumulate(fs[::-1])[::-1]
-        log_suffix = np.where(sums > 0.0, log_suffix, rev_max[starts])
-    return idx, fs, log_suffix, shifted
+        rev_max = np.maximum.accumulate(fs[::-1], axis=0)[::-1]
+        log_risk = np.where(sums > 0.0, log_risk, rev_max[starts])
+    return idx, fs, log_risk, shifted
 
 
-def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
-    """Exact negative log-partial likelihood of the relative-risk values."""
+def _column_sums(values: np.ndarray):
+    # each column summed as one contiguous row, so with numpy's pairwise
+    # summation a column's sum is bit-identical to the sum of it alone
+    return np.ascontiguousarray(values.T).sum(axis=-1)
+
+
+def _neg_log_partial_likelihood_columns(fvalues: np.ndarray, data: SurvivalDataset):
+    """The loss of one vector, or of each column of an (n, P) matrix."""
+    idx, fs, log_risk, _ = _sorted_log_risk_sums(fvalues, data)
+    n = len(data)
+    log_s = log_risk - np.log(n)
+    return (_column_sums(log_s) - _column_sums(fs[idx.event_sorted])) / n
+
+
+def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float | np.ndarray:
+    """Exact negative log-partial likelihood of the relative-risk values.
+
+    ``fvalues`` holds one value per record and gives a float, or is a (P, n)
+    stack of such vectors and gives the array of its P losses, each
+    bit-identical to the loss of its row alone.  A stack is scored
+    ``_ROW_BLOCK`` rows per pass, which bounds the temporaries.  All-censored
+    data give 0.0.
+    """
     fvalues = np.asarray(fvalues, dtype=float)
-    if fvalues.shape != (len(data),):
+    if fvalues.ndim not in (1, 2) or fvalues.shape[-1] != len(data):
         raise ValueError(f"expected {len(data)} relative-risk values")
     if not np.all(np.isfinite(fvalues)):
         raise ValueError("relative-risk values must be finite")
-    idx, fs, log_suffix, _ = _sorted_log_risk_sums(fvalues, data)
-    ev = idx.event_sorted
-    if not ev.any():
-        return 0.0
-    n = len(data)
-    log_s = log_suffix[ev] - np.log(n)
-    return float((log_s.sum() - fs[ev].sum()) / n)
+    if fvalues.ndim == 1:
+        return float(_neg_log_partial_likelihood_columns(fvalues, data))
+    losses = np.empty(fvalues.shape[0])
+    for start in range(0, fvalues.shape[0], _ROW_BLOCK):
+        block = np.ascontiguousarray(fvalues[start:start + _ROW_BLOCK].T)
+        losses[start:start + _ROW_BLOCK] = _neg_log_partial_likelihood_columns(block, data)
+    return losses
 
 
 def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
@@ -98,7 +124,7 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     function value.
     """
     fvalues = np.asarray(fvalues, dtype=float)
-    idx, fs, log_suffix, shifted = _sorted_log_risk_sums(fvalues, data)
+    idx, fs, log_risk, shifted = _sorted_log_risk_sums(fvalues, data)
     n = len(data)
     ev = idx.event_sorted
     # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
@@ -106,14 +132,14 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     inv_sums = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
         if ev.any():
-            inv_sums[ev] = np.exp(-(log_suffix[ev] - (fs.max())))
+            inv_sums[ev] = np.exp(-(log_risk - (fs.max())))
         cum = np.cumsum(inv_sums)[idx.group_end]
         u_sorted = (shifted * cum - ev) / n
     if not np.all(np.isfinite(u_sorted)):
         # f spreads by more than the exponent range, so some 1/Stilde
         # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
         neg_log_sums = np.full(n, -np.inf)
-        neg_log_sums[ev] = -log_suffix[ev]
+        neg_log_sums[ev] = -log_risk
         log_cum = np.logaddexp.accumulate(neg_log_sums)[idx.group_end]
         u_sorted = (np.exp(fs + log_cum) - ev) / n
     u = np.empty(n)

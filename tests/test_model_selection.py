@@ -6,7 +6,9 @@ import pytest
 from survcare import (
     AllFitsFailed,
     GammaGrid,
+    GaussianKernel,
     OptimOptions,
+    Sobolev1Kernel,
     SurvivalDataset,
     ThetaGrid,
     cross_validate_gamma,
@@ -18,7 +20,9 @@ from survcare import (
     theta_grid,
     validation_loss,
 )
-from survcare.model_selection import ExternalSpec
+from survcare import estimators
+from survcare.model_selection import ExternalSpec, _fit_gamma_path, fit_care_path
+from theta_grid_oracle import recursive_theta_points
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +81,21 @@ class TestThetaGrid:
     def test_invalid_simplex_point_rejected(self):
         with pytest.raises(ValueError):
             ThetaGrid(points=((0.7, 0.7),))
+
+    @pytest.mark.parametrize("points", [
+        (), ((0.1, 0.2), (0.3,)), ((float("nan"),),), ((-0.1, 0.2),), (0.1, 0.2),
+    ], ids=["empty", "ragged", "nan", "negative", "flat"])
+    def test_malformed_points_rejected(self, points):
+        with pytest.raises(ValueError):
+            ThetaGrid(points=points)
+
+    @pytest.mark.parametrize("num_externals, resolution", [
+        (1, 1), (1, 20), (2, 1), (3, 7), (3, 20), (5, 20), (4, 40),
+    ])
+    def test_matches_recursive_enumeration(self, num_externals, resolution):
+        grid = theta_grid(num_externals, resolution)
+        assert grid.points == recursive_theta_points(num_externals, resolution)
+        assert all(type(t) is float for p in grid.points for t in p)
 
 
 class TestCrossValidateGamma:
@@ -188,6 +207,80 @@ class TestFitCare:
                             valid_values=np.zeros(len(valid)))
         with pytest.raises(ValueError, match="training values"):
             fit_care(train, valid, sob1, SMALL_GRID, [spec], theta_grid(1, 5))
+
+
+class TestThetaScan:
+    def test_ties_go_to_the_lexicographically_smallest_theta(self, cv_setup, sob1):
+        # Two identical externals with quarter-integer validation values and a
+        # zero training mean, at resolution 4: every product and sum in a
+        # combination is exact, so points with equal theta sums give
+        # byte-equal combinations and tie exactly.
+        train, valid, truth = cv_setup
+        values = np.round(4.0 * truth.external(valid.covariates)) / 4.0
+        spec = ExternalSpec(name="twin", train_values=np.zeros(len(train)),
+                            valid_values=values)
+        _, report = fit_care(train, valid, sob1, SMALL_GRID, [spec, spec], theta_grid(2, 4))
+        by_gamma = {}
+        for e in report.care_entries:
+            by_gamma.setdefault(e.gamma, []).append(e)
+        tied_levels = 0
+        for gamma, level in by_gamma.items():
+            for e in level:
+                twins = [o.valid_loss for o in level if sum(o.theta) == sum(e.theta)]
+                assert twins == [e.valid_loss] * len(twins)
+            best = min(e.valid_loss for e in level)
+            minimisers = [e.theta for e in level if e.valid_loss == best]
+            tied_levels += len(minimisers) > 1
+            assert report.best_theta_per_gamma[gamma] == min(minimisers)
+        assert tied_levels > 0
+        best = min(e.valid_loss for e in report.care_entries)
+        winners = [(e.gamma, e.theta) for e in report.care_entries if e.valid_loss == best]
+        assert len(winners) > 1
+        assert (report.gamma_check, report.theta_check) == min(winners)
+
+    def test_entries_match_the_single_vector_loss(self, cv_setup, sob1):
+        train, valid, truth = cv_setup
+        spec = ExternalSpec(name="ext", fn=truth.external)
+        thetas = theta_grid(2, 10)
+        _, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, [spec, spec], thetas)
+        centred = truth.external(valid.covariates) - truth.external(train.covariates).mean()
+        for e in report.care_entries[::7]:
+            kernel = fits[e.gamma].predict_many(valid.covariates)
+            combo = (1.0 - sum(e.theta)) * kernel + (e.theta[0] + e.theta[1]) * centred
+            assert e.valid_loss == pytest.approx(validation_loss(combo, valid), rel=1e-12)
+
+
+class TestPathPredictions:
+    @pytest.mark.parametrize("kernel, dim", [
+        (Sobolev1Kernel(shift=1.0), 1),
+        (GaussianKernel(shift=0.5, lengthscales=(0.5, 0.5)), 2),
+    ], ids=["sobolev1", "gaussian_d2"])
+    def test_cached_predictions_equal_predict_many(self, monkeypatch, kernel, dim):
+        rng = np.random.default_rng(dim)
+        data = SurvivalDataset(rng.uniform(0.0, 1.0, (90, dim)),
+                               rng.uniform(0.05, 1.0, 90), rng.uniform(size=90) < 0.3)
+        train, valid = split_train_validation(data, 3)
+        calls = []
+        original = estimators.cross_matrix
+        monkeypatch.setattr(estimators, "cross_matrix",
+                            lambda *args: calls.append(1) or original(*args))
+        _, fits, _, preds = _fit_gamma_path(train, valid, kernel, SMALL_GRID, None)
+        assert len(calls) == 1  # one validation cross matrix for the whole path
+        for gamma in SMALL_GRID.values:
+            direct = fits[gamma].predict_many(valid.covariates)
+            assert preds[gamma].tobytes() == direct.tobytes()
+
+    def test_empty_basis_predicts_zeros(self):
+        # one training point at the origin: its Sobolev section is the
+        # constant times the shift, so the basis is empty
+        train = SurvivalDataset([[0.0]], [0.5], [False])
+        valid = SurvivalDataset([[0.2], [0.5], [0.9]], [0.3, 0.6, 0.9], [False, True, False])
+        _, fits, _, preds = _fit_gamma_path(train, valid, Sobolev1Kernel(shift=2.0),
+                                            SMALL_GRID, None)
+        for gamma in SMALL_GRID.values:
+            assert fits[gamma].beta.size == 0
+            direct = fits[gamma].predict_many(valid.covariates)
+            assert preds[gamma].tobytes() == direct.tobytes() == np.zeros(3).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basis_oracle import bordered_matrix, rref_pivot_columns
 from conftest import all_censored_dataset
@@ -19,6 +21,7 @@ from survcare import (
     simulate_dataset,
 )
 from survcare.partial_likelihood import (
+    _ROW_BLOCK,
     RepresenterContext,
     likelihood_gradient_weights,
     preconditioned_gradient,
@@ -77,6 +80,70 @@ class TestLikelihood:
         bad[0] = np.inf
         with pytest.raises(ValueError):
             neg_log_partial_likelihood(bad, small_dataset)
+
+
+@st.composite
+def stacked_problems(draw):
+    """Survival data with ties and censoring, and a (P, n) stack of f rows.
+
+    Each row has its own spread; a spread of 1500 or more underflows some
+    shifted suffix sums and takes the suffix-max fallback.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    distinct_times = draw(st.integers(1, n))  # few distinct times: many ties
+    times = rng.integers(1, distinct_times + 1, n) / distinct_times
+    censored_share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    data = SurvivalDataset(np.zeros((n, 1)), times, rng.uniform(size=n) < censored_share)
+    rows = draw(st.sampled_from([1, 2, 5, _ROW_BLOCK + 1]))
+    spreads = rng.choice([1e-3, 3.0, 60.0, 1500.0, 4000.0], rows)
+    centres = rng.normal(0.0, 50.0, (rows, 1))
+    return data, centres + spreads[:, None] * rng.uniform(-0.5, 0.5, (rows, n))
+
+
+class TestStackedLikelihood:
+    # derandomised: the examples are the same on every run
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(problem=stacked_problems())
+    def test_rows_match_the_single_vector_loss(self, problem):
+        data, stack = problem
+        losses = neg_log_partial_likelihood(stack, data)
+        assert losses.shape == (stack.shape[0],)
+        singles = np.array([neg_log_partial_likelihood(row, data) for row in stack])
+        np.testing.assert_allclose(losses, singles, rtol=1e-12, atol=0.0)
+        if not data.events.any():
+            assert np.all(losses == 0.0)
+
+    def test_suffix_max_fallback_is_reached(self, small_dataset):
+        # f falling by 4000 along the time order underflows the shifted
+        # suffix sums of the late events' risk sets
+        idx = small_dataset.risk_index()
+        f = np.empty(len(small_dataset))
+        f[idx.order] = np.linspace(2000.0, -2000.0, len(small_dataset))
+        suffix = np.cumsum(np.exp(f[idx.order] - f.max())[::-1])[::-1]
+        assert (suffix[idx.group_start[idx.event_sorted]] == 0.0).any()
+        stack = np.vstack([f, np.zeros_like(f), f])
+        losses = neg_log_partial_likelihood(stack, small_dataset)
+        assert np.isfinite(losses).all()
+        assert losses[0] == losses[2] == neg_log_partial_likelihood(f, small_dataset)
+
+    def test_all_censored_stack_is_zero(self):
+        data = all_censored_dataset()
+        stack = np.random.default_rng(2).normal(size=(_ROW_BLOCK + 1, len(data)))
+        losses = neg_log_partial_likelihood(stack, data)
+        assert losses.shape == (_ROW_BLOCK + 1,) and np.all(losses == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_entry_in_any_row(self, small_dataset, bad):
+        stack = np.zeros((_ROW_BLOCK + 1, len(small_dataset)))
+        stack[_ROW_BLOCK, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            neg_log_partial_likelihood(stack, small_dataset)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 40)])
+    def test_rejects_wrong_shapes(self, small_dataset, shape):
+        with pytest.raises(ValueError, match="relative-risk values"):
+            neg_log_partial_likelihood(np.zeros(shape), small_dataset)
 
 
 def naive_gradient_weights(f, data):
