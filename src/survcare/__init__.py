@@ -19,10 +19,7 @@ from .data import (
 )
 from .estimators import (
     CenteredExternal,
-    FeatureMapEstimator,
     KernelEstimator,
-    center_external,
-    fit_feature_map_estimator,
     fit_kernel_estimator,
 )
 from .evaluation import (
@@ -30,7 +27,6 @@ from .evaluation import (
     StepSurvival,
     breslow_survival,
     concordance_index,
-    concordance_index_reference,
     l2_error_mc,
 )
 from .kernels import (
@@ -44,11 +40,7 @@ from .kernels import (
     Sobolev2Kernel,
     constant_norm_squared,
     cross_matrix,
-    eval_kernel,
-    feature_map,
-    feature_matrix,
     gram_matrix,
-    kappa_matrix,
     kernel_from_json,
     kernel_to_json,
 )
@@ -70,7 +62,6 @@ from .partial_likelihood import (
     build_representer_basis,
     neg_log_partial_likelihood,
     penalized_gradient,
-    penalized_objective,
 )
 from .simulation import (
     DgpConfig,
@@ -78,7 +69,6 @@ from .simulation import (
     covariate_sampler,
     external_predictor,
     simulate_dataset,
-    simulate_survival_times,
     true_f0,
 )
 

@@ -18,10 +18,17 @@ from concurrent.futures import ProcessPoolExecutor
 import jsonschema
 import numpy as np
 
-from .data import DataFormatError, SurvivalDataset, load_csv, split_train_validation, write_csv
+from .data import (
+    DataFormatError,
+    SurvivalDataset,
+    load_csv,
+    split_train_validation,
+    write_csv,
+    write_json,
+)
 from .estimators import fit_kernel_estimator
 from .evaluation import breslow_survival, concordance_index, l2_error_mc
-from .kernels import NotInSpaceError, kernel_from_json
+from .kernels import NotInSpaceError, constant_norm_squared, kernel_from_json
 from .model_selection import (
     AllFitsFailed,
     ExternalSpec,
@@ -141,7 +148,7 @@ CONFIG_SCHEMAS = {
             "kernel": _KERNEL_SCHEMA,
             "gamma_grid": _GAMMA_GRID_SCHEMA,
             "n_values": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                         "minItems": 1},
+                         "minItems": 1, "uniqueItems": True},
             "replications": {"type": "integer", "minimum": 1},
             "use_external": {"type": "boolean"},
             "theta_resolution": {"type": "integer", "minimum": 1},
@@ -273,9 +280,7 @@ def cmd_fit(args) -> int:
                                _optimizer(config.get("optimizer")))
     est_path = f"{args.out}_estimator.json"
     pred_path = f"{args.out}_predictions.csv"
-    with open(est_path, "w", encoding="utf-8") as fh:
-        json.dump(est.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(est_path, est.to_json())
     _write_predictions(pred_path, [("train", est.predict_many(train.covariates))])
     if est.fit_warning:
         print(f"warning: {est.fit_warning}", file=sys.stderr)
@@ -298,13 +303,9 @@ def cmd_cv(args) -> int:
     est_path = f"{args.out}_estimator.json"
     pred_path = f"{args.out}_predictions.csv"
     report.to_csv(cv_path)
-    with open(sel_path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
+    write_json(sel_path, report.summary())
     best = fits[gamma_hat]
-    with open(est_path, "w", encoding="utf-8") as fh:
-        json.dump(best.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(est_path, best.to_json())
     _write_predictions(pred_path, [
         ("train", best.predict_many(train.covariates)),
         ("valid", best.predict_many(valid.covariates)),
@@ -331,12 +332,8 @@ def cmd_care(args) -> int:
     care_path = f"{args.out}_care.json"
     pred_path = f"{args.out}_predictions.csv"
     report.to_csv(cv_path)
-    with open(sel_path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary(), fh, indent=2)
-        fh.write("\n")
-    with open(care_path, "w", encoding="utf-8") as fh:
-        json.dump(care.to_json(), fh, indent=2)
-        fh.write("\n")
+    write_json(sel_path, report.summary())
+    write_json(care_path, care.to_json())
     kernel_weight = 1.0 - sum(care.theta)
     sections = []
     for role, ds, ext_values in (
@@ -373,9 +370,7 @@ def cmd_evaluate(args) -> int:
         preds = _read_prediction_table(args.predictions, len(data), "predictions")
         metrics["concordance"] = concordance_index(preds, data)
         metrics_path = f"{args.out}_metrics.json"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(metrics, fh, indent=2)
-            fh.write("\n")
+        write_json(metrics_path, metrics)
         outputs["metrics"] = metrics_path
     _emit(args.quiet,
           [f"Breslow curve written to {breslow_path}"]
@@ -397,10 +392,10 @@ def _study_replication(payload: dict) -> dict:
     n = payload["n"]
     rep = payload["rep"]
     try:
-        dgp = DgpConfig(payload["dgp"])
-        kernel = kernel_from_json(payload["kernel"])
-        grid = GammaGrid(tuple(payload["gamma_values"]))
-        options = _optimizer(payload.get("optimizer"))
+        dgp = payload["dgp"]
+        kernel = payload["kernel"]
+        grid = payload["grid"]
+        options = payload["optimizer"]
         master = payload["seed"]
         mc_points = payload["mc_points"]
 
@@ -450,17 +445,24 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     Deterministic for a fixed seed regardless of the worker count: every
     replication is seeded independently from (seed, n, rep) and rows are
     assembled in sorted order.  At most one worker process per replication is
-    started; ``workers`` below 1 is a configuration error.
+    started; ``workers`` below 1 is a configuration error.  The generator,
+    kernel, gamma grid and optimizer options are parsed once, before any
+    replication runs, so a bad config raises here instead of failing every
+    replication.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    dgp = DgpConfig(config["dgp"])
+    kernel = _kernel(config["kernel"])
+    constant_norm_squared(kernel)
     grid = _gamma_grid(config["gamma_grid"])
+    options = _optimizer(config.get("optimizer"))
     payloads = [
         {
-            "dgp": config["dgp"],
-            "kernel": config["kernel"],
-            "gamma_values": list(grid.values),
-            "optimizer": config.get("optimizer"),
+            "dgp": dgp,
+            "kernel": kernel,
+            "grid": grid,
+            "optimizer": options,
             "n": n,
             "rep": rep,
             "seed": config.get("seed", 0),

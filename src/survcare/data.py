@@ -197,8 +197,13 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
             row.append(repr(float(dataset.times[i] * dataset.time_scale)))
             row.append("0" if dataset.censored[i] else "1")
             writer.writerow(row)
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump({"time_scale": dataset.time_scale, "dimension": d}, fh, indent=2)
+    write_json(f"{path}.meta.json", {"time_scale": dataset.time_scale, "dimension": d})
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON indented by 2, with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 

@@ -1,29 +1,24 @@
-"""Fitted relative-risk estimators and centring of external predictors.
+"""Fitted relative-risk estimators and centred external predictors.
 
-Both fitting routes are one solve, ``_fit_penalised``, of the strongly convex
-penalised likelihood l(D theta) + gamma theta' P theta over a (design,
-penalty) pair: the representer route takes D and P over a basis subset of
-training points and suits any kernel; the feature-map route takes the
-centred non-constant features of a polynomial kernel, whose dimension does
-not grow with the training size.
+A fit is one solve, ``_fit_penalised``, of the strongly convex penalised
+likelihood l(D theta) + gamma theta' P theta over a (design, penalty) pair.
+``fit_kernel_estimator`` takes D and P from the representer route, over a
+basis subset of training points, which suits any kernel; a polynomial
+kernel's basis already shrinks to its feature rank there.  The solver sees
+only the pair, so any other route, such as the polynomial feature map the
+tests compare against, runs through the same solve.  ``CenteredExternal``
+holds an external predictor with its training mean subtracted, as the
+convex aggregation of ``model_selection`` builds it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import SurvivalDataset
-from .kernels import (
-    KernelConfig,
-    PolynomialKernel,
-    cross_matrix,
-    feature_matrix,
-    kernel_from_json,
-    kernel_to_json,
-)
+from .kernels import KernelConfig, cross_matrix, kernel_from_json, kernel_to_json
 from .optimizer import OptimOptions, OptimResult, minimize_bfgs
 from .partial_likelihood import (
     PenalisedProblem,
@@ -33,10 +28,6 @@ from .partial_likelihood import (
     preconditioned_gradient,
     preconditioned_objective,
 )
-
-# Default bound on the sup-norm of external predictors; exceeding it only
-# triggers a warning since the theory assumes boundedness without a value.
-EXTERNAL_SUP_BOUND = 100.0
 
 
 @dataclass
@@ -178,72 +169,6 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
 
 
 @dataclass
-class FeatureMapEstimator:
-    """Primal-space estimator f(x) = alpha' (phi(x)_{1..q} - feature_means)."""
-
-    kernel: PolynomialKernel
-    alpha: np.ndarray
-    feature_means: np.ndarray
-    constant_c: float
-    converged: bool = True
-    gradient_norm: float = 0.0
-    hilbert_norm_squared: float = 0.0
-    fit_warning: str | None = None
-
-    def predict_many(self, xs) -> np.ndarray:
-        phi = feature_matrix(self.kernel, xs)[:, :-1]
-        return (phi - self.feature_means[None, :]) @ self.alpha
-
-    def predict(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict_many(x[None, :])[0])
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": kernel_to_json(self.kernel),
-            "alpha": self.alpha.tolist(),
-            "feature_means": self.feature_means.tolist(),
-            "constant_c": float(self.constant_c),
-            "converged": bool(self.converged),
-            "gradient_norm": float(self.gradient_norm),
-            "hilbert_norm_squared": float(self.hilbert_norm_squared),
-        }
-
-
-def fit_feature_map_estimator(train: SurvivalDataset, kernel: PolynomialKernel,
-                              gamma: float, options: OptimOptions | None = None,
-                              warm=None) -> FeatureMapEstimator:
-    """Fit the same penalised objective in the polynomial feature space.
-
-    The design is the centred non-constant features and the penalty is
-    I + u u' with u = P_n(phi) / c, so the objective is l(f_alpha) +
-    gamma (sum_j alpha_j^2 + (c^{-1} sum_j alpha_j P_n(phi_j))^2), where
-    P_n(phi_j) are training means of the non-constant features and c is the
-    constant feature value.
-    """
-    if not isinstance(kernel, PolynomialKernel):
-        raise TypeError("feature-map fitting requires a polynomial kernel")
-    phi = feature_matrix(kernel, train.covariates)
-    c = float(phi[0, -1])
-    means = phi[:, :-1].mean(axis=0)
-    u = means / c
-    problem = PenalisedProblem.precondition(
-        train, phi[:, :-1] - means[None, :], np.eye(u.shape[0]) + np.outer(u, u))
-    result, fit_warning = _fit_penalised(problem, gamma, warm, options)
-    alpha = result.minimizer
-    return FeatureMapEstimator(
-        kernel=kernel,
-        alpha=alpha,
-        feature_means=means,
-        constant_c=c,
-        converged=result.converged,
-        gradient_norm=result.gradient_norm,
-        hilbert_norm_squared=float(alpha @ problem.penalty @ alpha),
-        fit_warning=fit_warning,
-    )
-
-
-@dataclass
 class CenteredExternal:
     """External predictor minus its training-sample mean.
 
@@ -270,16 +195,3 @@ class CenteredExternal:
     def predict(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(self.predict_many(x[None, :])[0])
-
-
-def center_external(raw, train: SurvivalDataset, name: str = "",
-                    sup_bound: float = EXTERNAL_SUP_BOUND) -> CenteredExternal:
-    """Centre an external predictor on the training sample."""
-    values = np.asarray(raw(train.covariates), dtype=float)
-    if values.shape != (len(train),) or not np.all(np.isfinite(values)):
-        raise ValueError("external predictor must return finite values on training points")
-    if np.abs(values).max() > sup_bound:
-        warnings.warn(
-            f"external {name or 'predictor'!r} exceeds the configured sup-norm bound "
-            f"{sup_bound}", stacklevel=2)
-    return CenteredExternal(training_mean=float(values.mean()), raw=raw, name=name)

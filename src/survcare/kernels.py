@@ -8,8 +8,12 @@ Supported kernel families on real vectors:
 * second-order Sobolev   ``k(x, y) = a + m*x*y - m^2*(x+y)/2 + m^3/3`` with ``m = min(x, y)``
 * additive sums of one-dimensional kernels applied to selected coordinates
 
-All configurations are immutable and all operations are pure, so they can be
-evaluated concurrently.
+Kernels are evaluated in vectorised form only: ``cross_matrix`` between two
+point sets and ``gram_matrix`` over one.  ``constant_norm_squared`` gives the
+squared Hilbert norm of the constant function in closed form, which the
+centred penalty needs, and ``kernel_to_json``/``kernel_from_json`` are the
+configuration wire format.  All configurations are immutable and all
+operations are pure, so they can be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -18,12 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-MAX_POLY_FEATURES = 100_000
-
-# Relative singular-value cutoff for pseudo-inverses of Gram matrices; values
-# below this fraction of the largest eigenvalue are treated as exact zeros.
-PINV_CUTOFF = 1e-10
 
 
 class NotInSpaceError(ValueError):
@@ -238,46 +236,9 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
     raise TypeError(f"unknown kernel config {type(config).__name__}")
 
 
-def eval_kernel(config: KernelConfig, x, y) -> float:
-    """Evaluate k(x, y) for a single pair of points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise ValueError("dimension mismatch between x and y")
-    return float(cross_matrix(config, x[None, :], y[None, :])[0, 0])
-
-
 def gram_matrix(config: KernelConfig, points) -> GramMatrix:
     pts = _as_points(points)
     return GramMatrix(cross_matrix(config, pts, pts))
-
-
-def kappa_matrix(A) -> float:
-    """Limit of 1 / (1' (A + dI)^{-1} 1) as d -> 0, for symmetric PSD A.
-
-    Returns 0 when the all-ones vector has a component in the null space of A
-    (the limit diverges), and 1 / (1' A^+ 1) otherwise, using an eigenvalue
-    cutoff of PINV_CUTOFF relative to the largest eigenvalue.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    n = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.T).max() > 1e-8 * scale:
-        raise ValueError("matrix must be symmetric")
-    evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
-    lam_max = float(evals.max())
-    if evals.min() < -1e-8 * max(lam_max, 1.0):
-        raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-    cutoff = PINV_CUTOFF * max(lam_max, 0.0)
-    overlaps = evecs.T @ np.ones(n)
-    null = evals <= cutoff
-    null_proj_sq = float((overlaps[null] ** 2).sum())
-    if math.sqrt(null_proj_sq) > 1e-8 * math.sqrt(n):
-        return 0.0
-    denom = float((overlaps[~null] ** 2 / evals[~null]).sum())
-    return 1.0 / denom
 
 
 def subtractable_shift(config: KernelConfig) -> float:
@@ -307,62 +268,6 @@ def constant_norm_squared(config: KernelConfig) -> float:
             "constant function is not in the Hilbert space (kernel shift is 0)"
         )
     return 1.0 / s
-
-
-def _exponent_tuples(dim: int, total: int):
-    if dim == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponent_tuples(dim - 1, total - first):
-            yield (first,) + rest
-
-
-def _poly_feature_index(config: PolynomialKernel, dim: int):
-    """Multi-indices (graded lexicographic, constant excluded) and their weights."""
-    if config.shift == 0.0:
-        raise ValueError("feature map requires a positive shift")
-    n_features = math.comb(dim + config.degree, config.degree)
-    if n_features > MAX_POLY_FEATURES:
-        raise ValueError(
-            f"feature count {n_features} exceeds the limit {MAX_POLY_FEATURES}"
-        )
-    p, a = config.degree, config.shift
-    exponents, weights = [], []
-    for total in range(1, p + 1):
-        for exps in _exponent_tuples(dim, total):
-            coeff = math.factorial(p) / math.factorial(p - total)
-            for e in exps:
-                coeff /= math.factorial(e)
-            exponents.append(exps)
-            weights.append(math.sqrt(coeff * a ** (p - total)))
-    return exponents, np.asarray(weights)
-
-
-def feature_matrix(config: PolynomialKernel, points) -> np.ndarray:
-    """Finite-dimensional feature map rows phi(x) with phi(x)'phi(y) = k(x, y).
-
-    Coordinates are weighted monomials in graded lexicographic order; the last
-    coordinate is the constant feature c = a^{p/2}.
-    """
-    if not isinstance(config, PolynomialKernel):
-        raise TypeError("feature maps are available for polynomial kernels only")
-    pts = _as_points(points)
-    exponents, weights = _poly_feature_index(config, pts.shape[1])
-    cols = np.empty((pts.shape[0], len(exponents) + 1))
-    for j, exps in enumerate(exponents):
-        col = np.ones(pts.shape[0])
-        for d, e in enumerate(exps):
-            if e:
-                col = col * pts[:, d] ** e
-        cols[:, j] = weights[j] * col
-    cols[:, -1] = config.shift ** (config.degree / 2.0)
-    return cols
-
-
-def feature_map(config: PolynomialKernel, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return feature_matrix(config, x[None, :])[0]
 
 
 _VARIANT_NAMES = {

@@ -4,13 +4,15 @@ The regularisation path is fitted in decreasing order, warm-starting each fit
 at the previous solution; only the optimisation is repeated per level since
 the representer context is shared.  The validation predictions of every level
 come from one cross matrix between the validation points and the basis,
-computed once per path.  Aggregation with external predictors then scans a
-simplex lattice of convex weights against those cached predictions.  The scan
-costs O(|Theta| * n) flops per level, spent in ceil(|Theta| / _ROW_BLOCK)
-stacked likelihood calls: the combinations of one block of weight vectors are
-reordered once by the validation set's cached sort order and share one
-exponential, suffix-sum and log pass, where a per-vector loop would repeat
-that work, and the call overhead, for every weight vector.
+computed once per path.  Aggregation with external predictors, centred on
+the training sample and checked against ``EXTERNAL_SUP_BOUND`` on both
+samples (a warning, not an error), then scans a simplex lattice of convex
+weights against those cached predictions.  The scan costs O(|Theta| * n)
+flops per level, spent in ceil(|Theta| / _ROW_BLOCK) stacked likelihood
+calls: the combinations of one block of weight vectors are reordered once by
+the validation set's cached sort order and share one exponential, suffix-sum
+and log pass, where a per-vector loop would repeat that work, and the call
+overhead, for every weight vector.
 
 Ties are broken toward the smallest regularisation value and then the
 lexicographically smallest weight vector, which fixes a total order for the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,9 @@ from .optimizer import OptimOptions
 from .partial_likelihood import _ROW_BLOCK, RepresenterContext, neg_log_partial_likelihood
 
 THETA_GRID_LIMIT = 1_000_000
+# Bound on the sup-norm of external predictors; exceeding it only triggers a
+# warning since the theory assumes boundedness without a value.
+EXTERNAL_SUP_BOUND = 100.0
 
 
 class AllFitsFailed(RuntimeError):
@@ -312,7 +318,24 @@ def _external_values(spec: ExternalSpec, train: SurvivalDataset, valid: Survival
         raise ValueError(f"external {spec.name!r}: expected {len(valid)} validation values")
     if not (np.all(np.isfinite(tv)) and np.all(np.isfinite(vv))):
         raise ValueError(f"external {spec.name!r} produced non-finite values")
+    if max(np.abs(tv).max(), np.abs(vv).max()) > EXTERNAL_SUP_BOUND:
+        warnings.warn(
+            f"external {spec.name!r} exceeds the sup-norm bound {EXTERNAL_SUP_BOUND}")
     return tv, vv
+
+
+def _centred_externals(externals: list[ExternalSpec], train: SurvivalDataset,
+                       valid: SurvivalDataset):
+    """The externals centred on the training sample, and their centred
+    validation values as an (M, len(valid)) matrix."""
+    centred: list[CenteredExternal] = []
+    centred_valid = np.empty((len(externals), len(valid)))
+    for m, spec in enumerate(externals):
+        tv, vv = _external_values(spec, train, valid)
+        mean = float(tv.mean())
+        centred.append(CenteredExternal(training_mean=mean, raw=spec.fn, name=spec.name))
+        centred_valid[m] = vv - mean
+    return centred, centred_valid
 
 
 def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfig,
@@ -353,14 +376,7 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
     if thetas.num_externals != len(externals):
         raise ValueError("theta grid width must match the number of externals")
 
-    centred: list[CenteredExternal] = []
-    centred_valid = np.empty((len(externals), len(valid)))
-    for m, spec in enumerate(externals):
-        tv, vv = _external_values(spec, train, valid)
-        mean = float(tv.mean())
-        centred.append(CenteredExternal(training_mean=mean, raw=spec.fn, name=spec.name))
-        centred_valid[m] = vv - mean
-
+    centred, centred_valid = _centred_externals(externals, train, valid)
     theta_mat = np.asarray(thetas.points)          # P x M
     kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
     care_entries: list[CareEntry] = []

@@ -7,11 +7,12 @@ The likelihood is
 with S(f, t) = (1/n) sum_j 1{T_j >= t} exp(f(X_j)).  Risk sets use >=, so a
 subject's own term is always included and S(f, T_i) > 0.  Evaluation shifts by
 the running maximum of f before exponentiating (log-sum-exp), so values of f
-around +-30 during line searches are handled exactly; in the extreme-overshoot
-regime where the shifted suffix sum underflows entirely, the suffix maximum is
-used instead, which is enough for a line search to reject the step.  When f
-spreads beyond the exponent range the gradient weights are computed in log
-space instead, so they stay finite however far f spreads.
+around +-30 during line searches are handled exactly.  When f spreads beyond
+the exponent range, a shifted suffix sum can fall below the smallest normal
+double and lose precision, or underflow to 0; those risk sums are accumulated
+in log space instead.  The gradient weights switch to log space when a
+reciprocal risk sum overflows.  Both stay accurate and finite however far f
+spreads.
 
 Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
 columns are basis functions evaluated at the training points, and a penalty P,
@@ -52,6 +53,8 @@ SCHUR_DIAGONAL_REL_TOL = 1e-10
 _BASIS_BLOCK = 64
 # Rows of a stacked likelihood scored per pass of sort, exp, suffix sum and log.
 _ROW_BLOCK = 128
+# Smallest normal double: a shifted suffix sum below it carries fewer bits.
+_TINY = np.finfo(float).tiny
 
 
 def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
@@ -72,10 +75,12 @@ def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
     sums = suffix[starts]
     with np.errstate(divide="ignore"):
         log_risk = m + np.log(sums)
-    if not np.all(sums > 0.0):
-        # all terms in some suffix underflowed; fall back to the suffix max
-        rev_max = np.maximum.accumulate(fs[::-1], axis=0)[::-1]
-        log_risk = np.where(sums > 0.0, log_risk, rev_max[starts])
+    normal = sums >= _TINY
+    if not np.all(normal):
+        # a shifted suffix sum below the normal range has lost precision or
+        # underflowed to 0; sum those suffixes in log space instead
+        log_suffix = np.logaddexp.accumulate(fs[::-1], axis=0)[::-1]
+        log_risk = np.where(normal, log_risk, log_suffix[starts])
     return idx, fs, log_risk, shifted
 
 
@@ -293,17 +298,6 @@ class RepresenterContext(PenalisedProblem):
     @property
     def basis_size(self) -> int:
         return self.basis.shape[0]
-
-
-def penalized_objective(beta, ctx: PenalisedProblem, gamma: float) -> float:
-    beta = np.asarray(beta, dtype=float)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("beta must be finite")
-    fvals = ctx.design @ beta
-    pen = gamma * float(beta @ ctx.penalty @ beta)
-    return neg_log_partial_likelihood(fvals, ctx.dataset) + pen
 
 
 def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float) -> np.ndarray:

@@ -151,11 +151,3 @@ def simulate_dataset(config: DgpConfig, n: int, seed: int) -> tuple[SurvivalData
     dataset = SurvivalDataset(covs, times, censored, time_scale=1.0)
     truth = DgpTruth(config=config, covariates=covs, survival_times=t_surv, censor_times=t_cens)
     return dataset, truth
-
-
-def simulate_survival_times(config: DgpConfig, n: int, seed: int) -> np.ndarray:
-    """Vectorised fresh draws of uncensored survival times, for oracle curves."""
-    rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
-    xs = rng.uniform(0.0, 1.0, size=(n, config.dimension))
-    u = 1.0 - rng.random(n)
-    return -np.exp(-true_f0(config, xs)) * np.log(u) / BASELINE_RATE

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from basis_oracle import RREF_PIVOT_TOL, bordered_matrix, rref_basis
+from likelihood_oracle import penalized_objective
 from survcare import (
     AdditiveKernel,
     GaussianKernel,
@@ -28,7 +29,6 @@ from survcare import (
     constant_norm_squared,
     fit_kernel_estimator,
     gram_matrix,
-    penalized_objective,
 )
 from survcare import partial_likelihood
 from survcare.partial_likelihood import RepresenterContext

@@ -289,6 +289,25 @@ class TestStudy:
                      "--workers", "5000"]) == 0
         assert pool_sizes == [2]
 
+    @pytest.mark.parametrize("change", [
+        {"kernel": {"variant": "gaussian", "shift": 1.0}},
+        {"kernel": {"variant": "sobolev1", "shift": 0.0}},
+        {"n_values": [20, 30, 20]},
+    ], ids=["gaussian_without_lengthscales", "zero_shift", "repeated_n"])
+    def test_bad_config_exit_2_before_any_replication(self, tmp_path, capsys, monkeypatch,
+                                                      change):
+        ran = []
+        monkeypatch.setattr(survcare.cli, "_study_replication", ran.append)
+        self.small_study(tmp_path)
+        cfg = json.loads((tmp_path / "study.json").read_text(encoding="utf-8"))
+        path = write_json(tmp_path / "bad.json", {**cfg, **change})
+        out = str(tmp_path / "study")
+        assert main(["study", "--config", path, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert ran == []
+        assert not os.path.exists(f"{out}_results.csv")
+        assert not os.path.exists(f"{out}_summary.csv")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, pool_sizes, capsys, workers):
         cfg = self.small_study(tmp_path)

@@ -5,23 +5,24 @@ import pytest
 
 from basis_oracle import rref_basis
 from conftest import all_censored_dataset
+from feature_map_oracle import feature_matrix, fit_feature_map_estimator
 from survcare import (
     CenteredExternal,
     DgpConfig,
+    ExternalSpec,
     GaussianKernel,
     KernelEstimator,
     PolynomialKernel,
     Sobolev1Kernel,
     SurvivalDataset,
-    center_external,
-    fit_feature_map_estimator,
     fit_kernel_estimator,
     neg_log_partial_likelihood,
     simulate_dataset,
     true_f0,
 )
 from survcare import partial_likelihood
-from survcare.kernels import NotInSpaceError, feature_matrix
+from survcare.kernels import NotInSpaceError
+from survcare.model_selection import _centred_externals
 from survcare.partial_likelihood import RepresenterContext
 
 from test_partial_likelihood import bordered_norm_oracle
@@ -205,6 +206,12 @@ class TestFeatureMapEstimator:
             fit_feature_map_estimator(small_dataset, sob1, 0.1)
 
 
+def center_external(raw, train):
+    """The external as fit_care centres it on the training sample."""
+    centred, _ = _centred_externals([ExternalSpec(name="ext", fn=raw)], train, train)
+    return centred[0]
+
+
 class TestCenteredExternal:
     def test_constant_centres_to_zero(self, small_dataset):
         ext = center_external(lambda xs: np.full(xs.shape[0], 7.0), small_dataset)
@@ -230,7 +237,7 @@ class TestCenteredExternal:
             center_external(lambda xs: np.full(xs.shape[0], np.nan), small_dataset)
 
     def test_sup_bound_warning(self, small_dataset):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match="sup-norm bound"):
             center_external(lambda xs: np.full(xs.shape[0], 500.0), small_dataset)
 
     def test_table_backed_external_cannot_extrapolate(self):
@@ -246,9 +253,3 @@ class TestSerialization:
         again = KernelEstimator.from_json(json.loads(blob))
         xs = np.linspace(0, 1, 9)[:, None]
         np.testing.assert_allclose(again.predict_many(xs), est.predict_many(xs), rtol=1e-15)
-
-    def test_feature_estimator_json(self, small_dataset):
-        est = fit_feature_map_estimator(small_dataset, PolynomialKernel(degree=2, shift=1.0), 0.5)
-        blob = est.to_json()
-        assert blob["constant_c"] == pytest.approx(1.0)
-        assert len(blob["alpha"]) == len(blob["feature_means"])

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import all_censored_dataset
+from evaluation_oracle import concordance_index_reference
 from survcare import (
     NoComparablePairsError,
     StepSurvival,
     SurvivalDataset,
     breslow_survival,
     concordance_index,
-    concordance_index_reference,
     l2_error_mc,
 )
 

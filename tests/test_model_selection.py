@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ class TestFitCare:
                             valid_values=np.zeros(len(valid)))
         with pytest.raises(ValueError, match="training values"):
             fit_care(train, valid, sob1, SMALL_GRID, [spec], theta_grid(1, 5))
+
+    @pytest.mark.parametrize("side", ["train_values", "valid_values"])
+    def test_external_beyond_the_sup_bound_warns(self, cv_setup, sob1, side):
+        train, valid, _ = cv_setup
+        constant = ExternalSpec(name="big", fn=lambda xs: np.full(xs.shape[0], 500.0))
+        with pytest.warns(UserWarning, match="'big' exceeds the sup-norm bound"):
+            fit_care(train, valid, sob1, GammaGrid((1.0,)), [constant], theta_grid(1, 2))
+        # one value past the bound on either sample is enough
+        tables = {"train_values": np.zeros(len(train)), "valid_values": np.zeros(len(valid))}
+        tables[side][0] = -100.5
+        with pytest.warns(UserWarning, match="'big' exceeds the sup-norm bound"):
+            fit_care(train, valid, sob1, GammaGrid((1.0,)),
+                     [ExternalSpec(name="big", **tables)], theta_grid(1, 2))
+        tables[side][0] = -100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_care(train, valid, sob1, GammaGrid((1.0,)),
+                     [ExternalSpec(name="big", **tables)], theta_grid(1, 2))
 
 
 class TestThetaScan:

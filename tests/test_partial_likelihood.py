@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from basis_oracle import bordered_matrix, rref_pivot_columns
 from conftest import all_censored_dataset
+from likelihood_oracle import (
+    naive_gradient_weights,
+    naive_neg_log_partial_likelihood,
+    penalized_objective,
+)
 from survcare import (
     GaussianKernel,
     PolynomialKernel,
@@ -17,7 +22,6 @@ from survcare import (
     gram_matrix,
     neg_log_partial_likelihood,
     penalized_gradient,
-    penalized_objective,
     simulate_dataset,
 )
 from survcare.partial_likelihood import (
@@ -87,7 +91,7 @@ def stacked_problems(draw):
     """Survival data with ties and censoring, and a (P, n) stack of f rows.
 
     Each row has its own spread; a spread of 1500 or more underflows some
-    shifted suffix sums and takes the suffix-max fallback.
+    shifted suffix sums and takes the log-space path.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 40))
@@ -116,7 +120,7 @@ class TestStackedLikelihood:
 
     def test_suffix_max_fallback_is_reached(self, small_dataset):
         # f falling by 4000 along the time order underflows the shifted
-        # suffix sums of the late events' risk sets
+        # suffix sums of the late events' risk sets into the log-space path
         idx = small_dataset.risk_index()
         f = np.empty(len(small_dataset))
         f[idx.order] = np.linspace(2000.0, -2000.0, len(small_dataset))
@@ -146,29 +150,42 @@ class TestStackedLikelihood:
             neg_log_partial_likelihood(np.zeros(shape), small_dataset)
 
 
-def naive_gradient_weights(f, data):
-    """O(n^2) reference in log space: u_p is (1/n) times the sum over events i
-    at risk with p of exp(f_p - log sum_{j at risk at T_i} exp(f_j)), minus
-    (1/n) when p is an event."""
-    times, events = data.times, data.events
-    u = -events.astype(float)
-    for i in np.flatnonzero(events):
-        at_risk = times >= times[i]
-        u[at_risk] += np.exp(f[at_risk] - np.logaddexp.reduce(f[at_risk]))
-    return u / len(data)
+@st.composite
+def oracle_problems(draw, half_width):
+    """Survival data with random ties and censoring, f uniform on
+    [-half_width, half_width], and a random permutation of the records."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    distinct_times = draw(st.integers(1, n))  # few distinct times: many ties
+    times = rng.integers(1, distinct_times + 1, n) / distinct_times
+    censored_share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    censored = rng.uniform(size=n) < censored_share
+    f = rng.uniform(-half_width, half_width, n)
+    return SurvivalDataset(np.zeros((n, 1)), times, censored), f, rng.permutation(n)
 
 
 class TestGradientWeights:
-    # a half-width of 2000 spreads f by about 4000, which overflows
-    # 1 / (shifted suffix sum) and takes the log-space path
+    # a half-width of 2000 spreads f by about 4000, which underflows shifted
+    # terms and suffix sums and takes both log-space paths
     @pytest.mark.parametrize("half_width", [3.0, 2000.0])
-    def test_match_naive_reference(self, small_dataset, half_width):
-        rng = np.random.default_rng(12)
-        f = rng.uniform(-half_width, half_width, len(small_dataset))
-        u = likelihood_gradient_weights(f, small_dataset)
-        np.testing.assert_allclose(u, naive_gradient_weights(f, small_dataset),
-                                   rtol=1e-12, atol=1e-15)
-        assert abs(u.sum()) <= 1e-12  # the weights of a shift-invariant loss sum to zero
+    # derandomised: the examples are the same on every run
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn=st.data())
+    def test_match_naive_reference(self, half_width, drawn):
+        data, f, perm = drawn.draw(oracle_problems(half_width))
+        permuted = SurvivalDataset(data.covariates[perm], data.times[perm], data.censored[perm])
+        # exp(f_p - log S) is rounded to about eps * max|f| in absolute terms
+        # in both evaluations, so entries that cancel to near 0 (a loss, or an
+        # event's weight) agree only to that floor
+        floor = 1e-15 * max(1.0, np.abs(f).max())
+        for d, values in ((data, f), (permuted, f[perm])):
+            loss = neg_log_partial_likelihood(values, d)
+            assert loss == pytest.approx(
+                naive_neg_log_partial_likelihood(values, d), rel=1e-12, abs=floor)
+            u = likelihood_gradient_weights(values, d)
+            np.testing.assert_allclose(u, naive_gradient_weights(values, d),
+                                       rtol=1e-12, atol=floor)
+            assert abs(u.sum()) <= 1e-12  # the weights of a shift-invariant loss sum to zero
 
 
 class TestRepresenterBasis:

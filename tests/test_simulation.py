@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from evaluation_oracle import simulate_survival_times
 from survcare import (
     DgpConfig,
     covariate_sampler,
     external_predictor,
     simulate_dataset,
-    simulate_survival_times,
     true_f0,
 )
 
