@@ -4,7 +4,8 @@ Subcommands: simulate, fit, cv, care, evaluate, study.  All configuration is
 JSON validated against a schema (unknown keys rejected); all tables are CSV
 with headers.  Exit codes: 0 success, 2 configuration error, 3 I/O error,
 4 when every fit on the grid failed, 5 when a study loses more than 10% of
-its replications.
+its replications.  Every warning a command raises, the library's included,
+prints on stderr as ``warning: <message>``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import jsonschema
@@ -584,19 +586,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ConfigError, DataFormatError, NotInSpaceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AllFitsFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALL_FITS_FAILED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except (ConfigError, DataFormatError, NotInSpaceError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except AllFitsFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ALL_FITS_FAILED
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,4 +1,10 @@
-"""BFGS minimisation with Armijo backtracking for smooth convex objectives."""
+"""BFGS minimisation with Armijo backtracking for smooth convex objectives.
+
+The inverse-Hessian approximation is never formed.  It is applied to the
+gradient by the two-loop recursion over the (s, y) pairs accepted since the
+last restart, so an iteration costs O(m k) time and memory for k stored pairs
+in m dimensions, where a dense update costs O(m^2).
+"""
 
 from __future__ import annotations
 
@@ -40,16 +46,40 @@ class OptimResult:
     trace: list[float] = field(default_factory=list)
 
 
+def _inverse_hessian_times(g, h0, pairs):
+    """The BFGS inverse-Hessian approximation times ``g``.
+
+    The approximation is h0 I updated by every (s, y, 1/s'y) in ``pairs``, in
+    order; the two-loop recursion (Nocedal and Wright, Numerical Optimization,
+    2nd ed., Algorithm 7.4) applies it without forming it.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    q *= h0
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return q
+
+
 def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None) -> OptimResult:
     """Minimise a smooth function with BFGS and Armijo backtracking.
 
     The inverse-Hessian approximation starts at the identity scaled by
-    1 / (1 + ||g0||) and is updated by the standard rank-two formula; updates
-    are skipped when the curvature s'y is not safely positive.  Convergence is
-    declared when the infinity norm of the gradient drops below the tolerance.
-    On a failed line search (no Armijo decrease within 60 halvings) or a
-    non-finite gradient the best iterate with a finite gradient is returned
-    with ``converged=False``.
+    1 / (1 + ||g0||) and takes the standard rank-two update for every accepted
+    step whose curvature s'y is safely positive; a step that fails that test
+    stores no pair.  The approximation is applied by the two-loop recursion
+    over the stored pairs (full memory, no history limit), which gives the
+    dense update's matrix in exact arithmetic at O(m k) time and memory for k
+    pairs.  A non-descent direction from rounding clears the pairs and
+    restarts from the scaled identity at the current gradient.  Convergence
+    is declared when the infinity norm of the gradient drops below the
+    tolerance.  On a failed line search (no Armijo decrease within 60
+    halvings) or a non-finite gradient the best iterate with a finite
+    gradient is returned with ``converged=False``.
     """
     opts = options or OptimOptions()
     x = np.array(init, dtype=float)
@@ -59,22 +89,21 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     if not np.isfinite(fx):
         raise ValueError("objective is not finite at the initial point")
     g = np.asarray(gradient(x), dtype=float)
-    dim = x.shape[0]
-    h = np.eye(dim) / (1.0 + float(np.linalg.norm(g)))
+    h0 = 1.0 / (1.0 + float(np.linalg.norm(g)))
+    pairs = []  # (s, y, 1 / s'y) accepted since the last restart
     trace = [fx]
     iterations = 0
     finite = bool(np.all(np.isfinite(g)))
     converged = finite and float(np.abs(g).max()) <= opts.gradient_tolerance
 
-    buf1 = np.empty((dim, dim))
-    buf2 = np.empty((dim, dim))
     while finite and not converged and iterations < opts.max_iterations:
-        direction = -(h @ g)
+        direction = -_inverse_hessian_times(g, h0, pairs)
         slope = float(g @ direction)
         if slope >= 0.0:
             # numerical loss of positive definiteness; restart from steepest descent
-            h = np.eye(dim) / (1.0 + float(np.linalg.norm(g)))
-            direction = -(h @ g)
+            pairs = []
+            h0 = 1.0 / (1.0 + float(np.linalg.norm(g)))
+            direction = -h0 * g
             slope = float(g @ direction)
         if slope >= -1e-16 * abs(fx):
             break  # descent below the objective's rounding noise
@@ -96,16 +125,7 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            # (I - rho s y') H (I - rho y s') + rho s s', expanded in-place
-            rho = 1.0 / sy
-            hy = h @ y
-            np.multiply(s[:, None], hy[None, :], out=buf1)
-            np.add(buf1, buf1.T, out=buf2)
-            buf2 *= rho
-            h -= buf2
-            np.multiply(s[:, None], s[None, :], out=buf1)
-            buf1 *= rho * rho * float(y @ hy) + rho
-            h += buf1
+            pairs.append((s, y, 1.0 / sy))
         x, g, fx = x_new, g_new, f_new
         trace.append(fx)
         iterations += 1

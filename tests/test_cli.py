@@ -156,6 +156,21 @@ class TestCare:
                      "--config", path, "--out", str(tmp_path / "care"), "--quiet"])
         assert code == 0
 
+    def test_python_warning_printed_as_cli_warning(self, tmp_path, simulated, capsys):
+        table = tmp_path / "ext.csv"
+        table.write_text("prediction\n" + "500.0\n" * len(load_csv(f"{simulated}_data.csv")))
+        cfg = dict(CV_CONFIG)
+        cfg["externals"] = [{"name": "big", "train_table": str(table),
+                             "valid_table": str(table)}]
+        path = write_json(tmp_path / "care.json", cfg)
+        code = main(["care", f"{simulated}_data.csv", f"{simulated}_data.csv",
+                     "--config", path, "--out", str(tmp_path / "care"), "--quiet"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: external 'big' exceeds the sup-norm bound 100.0\n" in err
+        assert "UserWarning" not in err
+        assert "warnings.warn(" not in err
+
     def test_wrong_row_count_exit_2(self, tmp_path, simulated):
         table = tmp_path / "ext.csv"
         with open(table, "w", newline="") as fh:
