@@ -16,8 +16,9 @@ spreads.
 
 Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
 columns are basis functions evaluated at the training points, and a penalty P,
-their Gram form in the Hilbert space (``PenalisedProblem``).  Over representer
-coefficients beta indexed by the basis A (``RepresenterContext``) this is
+their Gram form in the Hilbert space, with an exact factor P = R'R
+(``PenalisedProblem``).  Over representer coefficients beta indexed by the
+basis A (``RepresenterContext``) this is
 
     l(f_beta) + gamma * sum_{i,j in A} khat(X_i, X_j) beta_i beta_j
 
@@ -30,10 +31,11 @@ f_beta and the objective is strongly convex.
 
 The basis A holds the training points whose bordered columns (the Gram
 matrix of the constant and the kernel sections) are linearly independent of
-the columns before them: a column-skipping Cholesky factorisation accepts a
-point when its Schur-complement diagonal, the squared Hilbert distance of
-k(., X_j) from the span of the constant and the sections accepted before it,
-exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest bordered entry.
+the columns before them: a column-skipping Cholesky factorisation accepts the
+constant, then each point whose Schur-complement diagonal, the squared
+Hilbert distance of k(., X_j) from the span of the constant and the sections
+accepted before it, exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest
+bordered entry.  Centring that factor gives R for khat without forming khat.
 """
 
 from __future__ import annotations
@@ -152,22 +154,25 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     return u
 
 
-def build_representer_basis(gram, constant_norm_sq: float) -> np.ndarray:
-    """Indices of training points whose bordered kernel columns form a basis.
+def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """The representer basis and the Cholesky factor of its bordered Gram matrix.
 
     The (n+1) x (n+1) bordered matrix, with top-left ``constant_norm_sq``, a
     border of ones and the Gram matrix as the body, is the Hilbert-space Gram
     matrix of (1, k(., X_1), ..., k(., X_n)), so it is positive semi-definite.
     Its leftmost linearly independent columns are found by a left-looking
-    Cholesky factorisation that skips columns: column j is accepted when its
-    Schur-complement diagonal given the accepted columns before it (the
-    squared distance of its function from their span) exceeds
-    ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of the bordered
-    matrix, and skipped otherwise.  Blocks of columns take their Schur
-    complement with one matrix product against the factor so far; within a
-    block each accepted column updates only the block's later columns.
-    Returns the accepted training indices (the constant's column excluded),
-    sorted ascending and 0-based.
+    Cholesky factorisation that skips columns.  It always accepts the
+    constant's column, whose diagonal is ``constant_norm_sq`` > 0; a point's
+    column j is accepted when its Schur-complement diagonal given the
+    accepted columns before it (the squared distance of its function from
+    their span) exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of
+    the bordered matrix, and skipped otherwise.  Blocks of columns take their
+    Schur complement with one matrix product against the factor so far;
+    within a block each accepted column updates only the block's later
+    columns.  Returns (basis, lower): the accepted training indices (the
+    constant's column excluded), sorted ascending and 0-based, and the
+    (m+1) x (m+1) lower-triangular factor with lower @ lower.T the bordered
+    matrix over the accepted columns, the constant's first.
     """
     k = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
     if constant_norm_sq <= 0:
@@ -189,13 +194,14 @@ def build_representer_basis(gram, constant_norm_sq: float) -> np.ndarray:
         schur = bordered[start:, start:stop] - factor[start:, :r] @ factor[start:stop, :r].T
         for c in range(stop - start):
             diag = schur[c, c]
-            if not diag > tol:
+            if not (diag > tol or start + c == 0):
                 continue
             col = schur[c:, c] / np.sqrt(diag)
             factor[start + c:, len(accepted)] = col
             accepted.append(start + c)
             schur[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:stop - start - c]
-    return np.array([j - 1 for j in accepted if j >= 1], dtype=int)
+    basis = np.array(accepted[1:], dtype=int) - 1
+    return basis, factor[accepted, :len(accepted)]
 
 
 @dataclass
@@ -203,7 +209,7 @@ class PenalisedProblem:
     """The objective l(D theta) + gamma theta' P theta on one training dataset.
 
     D (``design``, n x m) holds per-record values of m basis functions and P
-    (``penalty``, m x m) is their positive semi-definite Gram form, so every
+    (``penalty``, m x m) is their positive definite Gram form, so every
     fitting route is one choice of (D, P).  Everything stored is
     gamma-independent, so one problem serves a whole regularisation path.
     Immutable after construction.
@@ -211,8 +217,9 @@ class PenalisedProblem:
     Fitting does not run in theta coordinates directly: the penalty and the
     likelihood curvature are both severely ill-conditioned for smooth kernels.
     ``precondition`` therefore prepares a two-stage linear change of
-    variables.  First the penalty is whitened through an upper-triangular
-    Cholesky factor R of (P + ridge); then the whitened design is rotated
+    variables.  First the penalty is whitened through an exact
+    upper-triangular factor R with R'R = P, so in w = R theta it is w'w by
+    definition, never a computed matrix; then the whitened design is rotated
     into the eigenbasis Q of its own second-moment matrix, whose eigenvalues
     ``curvature`` proxy the likelihood Hessian.  Per regularisation level the
     fit scales these coordinates by sqrt(2 gamma + curvature), which makes
@@ -225,35 +232,25 @@ class PenalisedProblem:
     design: np.ndarray        # D, n x m
     penalty: np.ndarray       # P, m x m
     prec_design: np.ndarray   # D in preconditioned coordinates
-    prec_penalty: np.ndarray  # P in preconditioned coordinates
     curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
     to_beta: np.ndarray       # theta = to_beta @ w
     from_beta: np.ndarray     # w = from_beta @ theta
 
     @classmethod
     def precondition(cls, dataset: SurvivalDataset, design: np.ndarray, penalty: np.ndarray,
-                     **fields):
-        """Build the problem for (design, penalty); ``fields`` go to a subclass."""
-        m = penalty.shape[0]
-        ridge = max(np.trace(penalty) / m if m else 0.0, 1.0) * 1e-12
-        for _ in range(12):
-            try:
-                chol = np.linalg.cholesky(penalty + ridge * np.eye(m)).T
-                break
-            except np.linalg.LinAlgError:
-                ridge *= 100.0
-        else:
-            raise np.linalg.LinAlgError("penalty matrix is not positive semi-definite")
-        chol_inv = np.linalg.inv(chol)
-        whitened = design @ chol_inv
+                     factor: np.ndarray, **fields):
+        """Build the problem for (design, penalty) given ``factor``, R with R'R = penalty.
+
+        R is upper triangular and nonsingular; ``fields`` go to a subclass.
+        """
+        factor_inv = np.linalg.inv(factor)
+        whitened = design @ factor_inv
         curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
         curvature = np.maximum(curvature, 0.0)
         prec_design = whitened @ rot
-        to_beta = chol_inv @ rot
-        prec_penalty = to_beta.T @ penalty @ to_beta
-        prec_penalty = 0.5 * (prec_penalty + prec_penalty.T)
-        from_beta = rot.T @ chol
-        arrays = (design, penalty, prec_design, prec_penalty, curvature, to_beta, from_beta)
+        to_beta = factor_inv @ rot
+        from_beta = rot.T @ factor
+        arrays = (design, penalty, prec_design, curvature, to_beta, from_beta)
         for arr in arrays:
             arr.flags.writeable = False
         return cls(dataset, *arrays, **fields)
@@ -283,17 +280,22 @@ class RepresenterContext(PenalisedProblem):
     def build(cls, dataset: SurvivalDataset, kernel: KernelConfig) -> "RepresenterContext":
         cns = constant_norm_squared(kernel)
         gram = gram_matrix(kernel, dataset.covariates)
-        basis = build_representer_basis(gram, cns)
+        basis, lower = build_representer_basis(gram, cns)
         k = gram.entries
         kbar = k.mean(axis=0)
-        ktilde = k[:, basis] - kbar[basis][None, :]
         kb = kbar[basis]
+        # the centred sections are (1, k(., X_A)) T with T = [-kb'; I], so
+        # khat = T' lower lower' T = R'R for the R of a QR of lower' T; lower
+        # and its centred copy are freed before whitening allocates
+        factor = np.linalg.qr(lower[1:].T - np.outer(lower[0], kb), mode="r")
+        del lower
+        ktilde = k[:, basis] - kb[None, :]
         khat = k[np.ix_(basis, basis)] - kb[:, None] - kb[None, :] + np.outer(kb, kb) * cns
         khat = 0.5 * (khat + khat.T)
         basis.flags.writeable = False
         kbar.flags.writeable = False
-        return cls.precondition(dataset, ktilde, khat, gram=gram, constant_norm_sq=cns,
-                                basis=basis, kbar=kbar)
+        return cls.precondition(dataset, ktilde, khat, factor, gram=gram,
+                                constant_norm_sq=cns, basis=basis, kbar=kbar)
 
     @property
     def basis_size(self) -> int:
@@ -319,7 +321,7 @@ def preconditioned_objective(v, ctx: PenalisedProblem, gamma: float) -> float:
     v = np.asarray(v, dtype=float)
     w = v / ctx.scale(gamma)
     fvals = ctx.prec_design @ w
-    pen = gamma * float(w @ (ctx.prec_penalty @ w))
+    pen = gamma * float(w @ w)
     return neg_log_partial_likelihood(fvals, ctx.dataset) + pen
 
 
@@ -328,4 +330,4 @@ def preconditioned_gradient(v, ctx: PenalisedProblem, gamma: float) -> np.ndarra
     scale = ctx.scale(gamma)
     w = v / scale
     u = likelihood_gradient_weights(ctx.prec_design @ w, ctx.dataset)
-    return (ctx.prec_design.T @ u + 2.0 * gamma * (ctx.prec_penalty @ w)) / scale
+    return (ctx.prec_design.T @ u + 2.0 * gamma * w) / scale

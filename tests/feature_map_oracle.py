@@ -101,8 +101,9 @@ def fit_feature_map_estimator(train, kernel: PolynomialKernel, gamma: float,
     c = float(phi[0, -1])
     means = phi[:, :-1].mean(axis=0)
     u = means / c
+    penalty = np.eye(u.shape[0]) + np.outer(u, u)
     problem = PenalisedProblem.precondition(
-        train, phi[:, :-1] - means[None, :], np.eye(u.shape[0]) + np.outer(u, u))
+        train, phi[:, :-1] - means[None, :], penalty, np.linalg.cholesky(penalty).T)
     result, fit_warning = _fit_penalised(problem, gamma, warm, options)
     alpha = result.minimizer
     return FeatureMapEstimator(

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from basis_oracle import RREF_PIVOT_TOL, bordered_matrix, rref_basis
+from basis_oracle import RREF_PIVOT_TOL, bordered_matrix, rref_basis, rref_basis_and_factor
 from likelihood_oracle import penalized_objective
 from survcare import (
     AdditiveKernel,
@@ -37,8 +37,8 @@ GAMMA = 0.1
 OBJECTIVE_REL_GAP = 1e-8
 FITTED_SUP_GAP = 1e-6
 
-CONTEXT_ARRAYS = ("basis", "kbar", "design", "penalty", "prec_design", "prec_penalty",
-                  "curvature", "to_beta", "from_beta")
+CONTEXT_ARRAYS = ("basis", "kbar", "design", "penalty", "prec_design", "curvature",
+                  "to_beta", "from_beta")
 
 
 def kernel_and_dimension():
@@ -80,7 +80,7 @@ def basis_problems(draw):
 def oracle_context(monkeypatch, data, kernel) -> RepresenterContext:
     with monkeypatch.context() as m:
         m.setattr(partial_likelihood, "build_representer_basis",
-                  lambda gram, cns: rref_basis(gram.entries, cns))
+                  lambda gram, cns: rref_basis_and_factor(gram.entries, cns))
         return RepresenterContext.build(data, kernel)
 
 
@@ -127,13 +127,30 @@ def test_selector_matches_row_reduction(monkeypatch, problem):
     check_against_oracle(monkeypatch, kernel, data)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=basis_problems())
+def test_penalty_factor_is_exact(problem):
+    # the whitening factor comes from the selector's Cholesky factor, with no
+    # ridge, so from_beta' from_beta = R'R reproduces khat to rounding.  khat
+    # is formed from terms of the bordered matrix's size; where it is far
+    # smaller (a Sobolev-2 section close to the constant) the formula's own
+    # cancellation is of order eps times those terms, hence the second term
+    kernel, data = problem
+    ctx = RepresenterContext.build(data, kernel)
+    assert np.all(np.isfinite(ctx.to_beta))
+    if ctx.basis_size:
+        gap = np.abs(ctx.from_beta.T @ ctx.from_beta - ctx.penalty).max()
+        terms = np.abs(bordered_matrix(ctx.gram.entries, ctx.constant_norm_sq)).max()
+        assert gap <= 1e-11 * np.abs(ctx.penalty).max() + 1e-14 * terms
+
+
 def test_empty_basis_at_origin():
     # one point at the origin: its Sobolev section equals the constant times
     # the shift, so the bordered Schur diagonal is zero and the basis is empty
     kernel = Sobolev2Kernel(shift=2.0)
     gram = gram_matrix(kernel, [[0.0]])
     cns = constant_norm_squared(kernel)
-    assert build_representer_basis(gram, cns).size == 0
+    assert build_representer_basis(gram, cns)[0].size == 0
     assert rref_basis(gram.entries, cns).size == 0
 
 
@@ -147,7 +164,7 @@ def test_polynomial_rank_is_feature_count(kernel, dim, rank):
     points = np.random.default_rng(dim).uniform(0.0, 1.0, (120, dim))
     gram = gram_matrix(kernel, points)
     cns = constant_norm_squared(kernel)
-    basis = build_representer_basis(gram, cns)
+    basis = build_representer_basis(gram, cns)[0]
     assert basis.size == rank - 1
     np.testing.assert_array_equal(basis, rref_basis(gram.entries, cns))
 
@@ -158,6 +175,6 @@ def test_duplicates_keep_first_occurrence():
     kernel = Sobolev1Kernel(shift=1.0)
     gram = gram_matrix(kernel, tripled)
     cns = constant_norm_squared(kernel)
-    basis = build_representer_basis(gram, cns)
+    basis = build_representer_basis(gram, cns)[0]
     np.testing.assert_array_equal(basis, np.arange(100))
     np.testing.assert_array_equal(basis, rref_basis(gram.entries, cns))

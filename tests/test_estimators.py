@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from basis_oracle import rref_basis
+from basis_oracle import rref_basis_and_factor
 from conftest import all_censored_dataset
 from feature_map_oracle import feature_matrix, fit_feature_map_estimator
 from survcare import (
@@ -82,7 +82,7 @@ class TestFitKernelEstimator:
         # must be finite" when the gradient weights overflowed to NaN
         if basis == "row_reduction":
             monkeypatch.setattr(partial_likelihood, "build_representer_basis",
-                                lambda gram, cns: rref_basis(gram.entries, cns))
+                                lambda gram, cns: rref_basis_and_factor(gram.entries, cns))
         data, _ = simulate_dataset(DgpConfig("univariate"), n, seed)
         kernel = GaussianKernel(shift=1.0, lengthscales=(lengthscale,))
         est = fit_kernel_estimator(data, kernel, gamma)
@@ -90,6 +90,28 @@ class TestFitKernelEstimator:
         assert np.all(np.isfinite(est.predict_many(data.covariates)))
         if not est.converged:
             assert est.fit_warning is not None and "did not converge" in est.fit_warning
+
+    def test_short_lengthscale_converges_at_smallest_gamma(self):
+        # with a ridged Cholesky of khat, this draw's whitened penalty had a
+        # negative eigenvalue: the objective was unbounded below, BFGS ran
+        # 500 iterations to a gradient of 6e147 and the Hilbert norm was NaN
+        data, _ = simulate_dataset(DgpConfig("univariate"), 120, 2)
+        kernel = GaussianKernel(shift=1.0, lengthscales=(0.03,))
+        est = fit_kernel_estimator(data, kernel, 1e-5)
+        assert est.converged
+        assert est.gradient_norm <= 1e-8
+        assert np.isfinite(est.hilbert_norm_squared)
+
+    def test_huge_shift_keeps_the_constant(self):
+        # the constant's bordered diagonal 1 / shift = 1e-8 is below the
+        # selector's tolerance relative to the Gram's 1e8 entries; it is
+        # accepted anyway, so the fit is still centred
+        data, _ = simulate_dataset(DgpConfig("univariate"), 120, 2)
+        kernel = GaussianKernel(shift=1e8, lengthscales=(0.3,))
+        est = fit_kernel_estimator(data, kernel, 1e-2)
+        assert est.converged
+        assert est.beta.size > 0
+        assert abs(est.predict_many(data.covariates).mean()) <= 1e-6
 
     def test_trace_monotone(self, small_dataset, sob1):
         est = fit_kernel_estimator(small_dataset, sob1, 0.01)

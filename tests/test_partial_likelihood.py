@@ -192,25 +192,25 @@ class TestRepresenterBasis:
     def test_distinct_points_full_basis(self):
         kernel = GaussianKernel(shift=1.0, lengthscales=(1.0,))
         gram = gram_matrix(kernel, [[0.1], [0.9]])
-        basis = build_representer_basis(gram, constant_norm_squared(kernel))
+        basis = build_representer_basis(gram, constant_norm_squared(kernel))[0]
         np.testing.assert_array_equal(basis, [0, 1])
 
     def test_duplicate_points_collapse(self):
         kernel = GaussianKernel(shift=1.0, lengthscales=(1.0,))
         gram = gram_matrix(kernel, [[0.4], [0.4]])
-        basis = build_representer_basis(gram, constant_norm_squared(kernel))
+        basis = build_representer_basis(gram, constant_norm_squared(kernel))[0]
         np.testing.assert_array_equal(basis, [0])
 
     def test_linear_kernel_rank_deficiency(self):
         kernel = PolynomialKernel(degree=1, shift=1.0)
         gram = gram_matrix(kernel, [[1.0], [2.0], [3.0]])
-        basis = build_representer_basis(gram, constant_norm_squared(kernel))
+        basis = build_representer_basis(gram, constant_norm_squared(kernel))[0]
         np.testing.assert_array_equal(basis, [0])
 
     def test_pivot_count_matches_rank_oracle(self, small_dataset, sob1):
         gram = gram_matrix(sob1, small_dataset.covariates)
         cns = constant_norm_squared(sob1)
-        basis = build_representer_basis(gram, cns)
+        basis = build_representer_basis(gram, cns)[0]
         bordered = bordered_matrix(gram.entries, cns)
         assert len(basis) + 1 == np.linalg.matrix_rank(bordered, tol=1e-8)
 
