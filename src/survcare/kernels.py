@@ -9,9 +9,12 @@ Supported kernel families on real vectors:
 * additive sums of one-dimensional kernels applied to selected coordinates
 
 Kernels are evaluated in vectorised form only: ``cross_matrix`` between two
-point sets and ``gram_matrix`` over one.  ``constant_norm_squared`` gives the
-squared Hilbert norm of the constant function in closed form, which the
-centred penalty needs, and ``kernel_to_json``/``kernel_from_json`` are the
+point sets and ``gram_matrix`` over one.  The Gaussian kernel takes the rows
+of the first set in blocks whose coordinate differences hold at most
+``_DIFF_BLOCK`` doubles (or one row's worth), so its cross matrix needs little
+more memory than the output.  ``constant_norm_squared`` gives the squared
+Hilbert norm of the constant function in closed form, which the centred
+penalty needs, and ``kernel_to_json``/``kernel_from_json`` are the
 configuration wire format.  All configurations are immutable and all
 operations are pure, so they can be evaluated concurrently.
 """
@@ -22,6 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Doubles per block of Gaussian coordinate differences: ``cross_matrix`` takes
+# as many rows of ``xs`` at a time as keep the (rows, m, d) block this small.
+_DIFF_BLOCK = 2**15
 
 
 class NotInSpaceError(ValueError):
@@ -193,14 +200,25 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
     if isinstance(config, GaussianKernel):
         xs = _as_points(xs, config.dimension)
         ys = _as_points(ys, config.dimension)
-        diff = xs[:, None, :] - ys[None, :, :]
         if config.lengthscales is not None:
             ls = np.asarray(config.lengthscales)
-            quad = ((diff / ls) ** 2).sum(axis=-1)
         else:
             sigma_inv = np.linalg.inv(np.asarray(config.sigma))
-            quad = np.einsum("nmi,ij,nmj->nm", diff, sigma_inv, diff)
-        return config.shift + np.exp(-quad)
+        out = np.empty((xs.shape[0], ys.shape[0]))
+        rows = max(1, _DIFF_BLOCK // ys.size)
+        for start in range(0, xs.shape[0], rows):
+            block = out[start:start + rows]
+            diff = xs[start:start + rows, None, :] - ys[None, :, :]
+            if config.lengthscales is not None:
+                diff /= ls
+                np.square(diff, out=diff)
+                quad = diff.sum(axis=-1)
+            else:
+                quad = np.einsum("nmi,ij,nmj->nm", diff, sigma_inv, diff)
+            np.negative(quad, out=quad)
+            np.exp(quad, out=block)
+            block += config.shift
+        return out
     if isinstance(config, PolynomialKernel):
         xs, ys = _as_points(xs), _as_points(ys)
         if xs.shape[1] != ys.shape[1]:

@@ -8,11 +8,14 @@ computed once per path.  Aggregation with external predictors, centred on
 the training sample and checked against ``EXTERNAL_SUP_BOUND`` on both
 samples (a warning, not an error), then scans a simplex lattice of convex
 weights against those cached predictions.  The scan costs O(|Theta| * n)
-flops per level, spent in ceil(|Theta| / _ROW_BLOCK) stacked likelihood
-calls: the combinations of one block of weight vectors are reordered once by
-the validation set's cached sort order and share one exponential, suffix-sum
-and log pass, where a per-vector loop would repeat that work, and the call
-overhead, for every weight vector.
+flops per level, spent in ceil(|Theta| / _ROW_BLOCK) calls of the likelihood
+core: the centred externals are put in the validation set's sorted order once
+per path and each level's predictions once per level, so every block of
+combinations is built directly in the core's sorted (n, block) layout and
+shares one exponential, suffix-sum and log pass, where a per-vector loop
+would repeat that work, and the call overhead, for every weight vector.  The
+report keeps the scan as one (levels x |Theta|) loss array, not as one
+object per (level, point).
 
 Ties are broken toward the smallest regularisation value and then the
 lexicographically smallest weight vector, which fixes a total order for the
@@ -24,7 +27,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +42,12 @@ from .estimators import (
 )
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
-from .partial_likelihood import _ROW_BLOCK, RepresenterContext, neg_log_partial_likelihood
+from .partial_likelihood import (
+    _ROW_BLOCK,
+    RepresenterContext,
+    _sorted_neg_log_partial_likelihood,
+    neg_log_partial_likelihood,
+)
 
 THETA_GRID_LIMIT = 1_000_000
 # Bound on the sup-norm of external predictors; exceeding it only triggers a
@@ -77,20 +87,27 @@ class GammaGrid:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Finite set of convex weight vectors over the external predictors."""
+    """Finite set of convex weight vectors over the external predictors.
+
+    ``points`` holds each vector as a tuple of floats; ``array`` holds the
+    same values as a read-only (|points|, num_externals) float array.
+    """
 
     points: tuple[tuple[float, ...], ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            pts = np.asarray(self.points, dtype=float)
+            pts = np.array(self.points, dtype=float)
         except ValueError:  # ragged or non-numeric
             pts = None
         if pts is None or pts.ndim != 2 or len(pts) == 0:
             raise ValueError("theta grid must be a non-empty sequence of equal-length points")
         if not ((pts >= 0).all() and (pts.sum(axis=1) <= 1 + 1e-12).all()):
             raise ValueError("theta points must lie in the simplex")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
+        object.__setattr__(self, "array", pts)
 
     @property
     def num_externals(self) -> int:
@@ -151,31 +168,75 @@ class CareEntry:
     valid_loss: float
 
 
+class CareEntries(Sequence):
+    """Read-only view of a report's theta scan as ``CareEntry`` objects.
+
+    Entries run level by level (ascending gamma), and within a level in the
+    grid's order; each is built when it is read.
+    """
+
+    def __init__(self, report: "CvReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.care_losses.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i, size = operator.index(i), len(self)
+        if not -size <= i < size:
+            raise IndexError("care entry index out of range")
+        report = self._report
+        level, p = divmod(i % size, len(report.care_thetas))
+        return CareEntry(report.care_gammas[level], report.care_thetas[p],
+                         float(report.care_losses[level, p]))
+
+    def __iter__(self):
+        report = self._report
+        for gamma, losses in zip(report.care_gammas, report.care_losses.tolist()):
+            for theta, loss in zip(report.care_thetas, losses):
+                yield CareEntry(gamma, theta, loss)
+
+
 @dataclass
 class CvReport:
-    """Per-level losses and the selection trace of a cross-validation run."""
+    """Per-level losses and the selection trace of a cross-validation run.
+
+    The theta scan is stored as columns: ``care_losses[l, p]`` is the
+    validation loss of the combination at ``care_gammas[l]``, the converged
+    levels in ascending order, and ``care_thetas[p]``, the grid's points.
+    Without externals all three are empty.  ``care_entries`` views the scan
+    as one ``CareEntry`` per (level, point).
+    """
 
     gamma_entries: list[GammaEntry] = field(default_factory=list)
-    care_entries: list[CareEntry] = field(default_factory=list)
+    care_gammas: tuple[float, ...] = ()
+    care_thetas: tuple[tuple[float, ...], ...] = ()
+    care_losses: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     gamma_hat: float | None = None
     gamma_check: float | None = None
     theta_check: tuple[float, ...] | None = None
     best_theta_per_gamma: dict[float, tuple[float, ...]] = field(default_factory=dict)
 
+    @property
+    def care_entries(self) -> CareEntries:
+        return CareEntries(self)
+
     def to_csv(self, path) -> None:
-        num_theta = len(self.care_entries[0].theta) if self.care_entries else 0
+        num_theta = len(self.care_thetas[0]) if self.care_losses.size else 0
         theta_cols = [f"theta_{m + 1}" for m in range(num_theta)]
         by_gamma = {e.gamma: e for e in self.gamma_entries}
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma", *theta_cols, "train_loss", "valid_loss", "converged"])
-            if self.care_entries:
-                for e in self.care_entries:
-                    g = by_gamma[e.gamma]
-                    writer.writerow([
-                        repr(e.gamma), *[repr(t) for t in e.theta],
-                        repr(g.train_loss), repr(e.valid_loss), int(g.converged),
-                    ])
+            if self.care_losses.size:
+                theta_cells = [[repr(t) for t in theta] for theta in self.care_thetas]
+                for gamma, losses in zip(self.care_gammas, self.care_losses.tolist()):
+                    g = by_gamma[gamma]
+                    writer.writerows([
+                        repr(gamma), *cells, repr(g.train_loss), repr(loss), int(g.converged),
+                    ] for cells, loss in zip(theta_cells, losses))
             else:
                 for g in self.gamma_entries:
                     writer.writerow([
@@ -377,35 +438,36 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
         raise ValueError("theta grid width must match the number of externals")
 
     centred, centred_valid = _centred_externals(externals, train, valid)
-    theta_mat = np.asarray(thetas.points)          # P x M
+    idx = valid.risk_index()
+    externals_sorted = centred_valid.T[idx.order]  # n x M, in the core's sorted order
+    theta_mat = thetas.array                       # P x M
     kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
-    care_entries: list[CareEntry] = []
+    levels = [e.gamma for e in entries if e.converged]  # ascending gamma
+    care_losses = np.empty((len(levels), len(thetas)))
     best_theta_per_gamma: dict[float, tuple[float, ...]] = {}
     best: tuple[float, tuple[float, ...]] | None = None
     best_loss = math.inf
-    for e in entries:  # ascending gamma
-        if not e.converged:
-            continue
-        preds = valid_preds[e.gamma]
-        losses = np.empty(len(thetas))
+    for gamma, losses in zip(levels, care_losses):
+        preds_sorted = valid_preds[gamma][idx.order]
         for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
-            rows = slice(start, start + _ROW_BLOCK)
-            combos = kernel_weight[rows, None] * preds + theta_mat[rows] @ centred_valid
-            losses[rows] = validation_loss(combos, valid)
-        care_entries.extend(CareEntry(gamma=e.gamma, theta=theta, valid_loss=loss)
-                            for theta, loss in zip(thetas.points, losses.tolist()))
+            cols = slice(start, start + _ROW_BLOCK)
+            combos = preds_sorted[:, None] * kernel_weight[cols] + \
+                externals_sorted @ theta_mat[cols].T
+            losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
         # the points are in lexicographic order, so the first minimiser is the
         # lexicographically smallest
         p = int(np.argmin(losses))
         local_best, local_loss = thetas.points[p], float(losses[p])
-        best_theta_per_gamma[e.gamma] = local_best
+        best_theta_per_gamma[gamma] = local_best
         if local_loss < best_loss:
-            best, best_loss = (e.gamma, local_best), local_loss
+            best, best_loss = (gamma, local_best), local_loss
 
     gamma_check, theta_check = best
     report = CvReport(
         gamma_entries=entries,
-        care_entries=care_entries,
+        care_gammas=tuple(levels),
+        care_thetas=thetas.points,
+        care_losses=care_losses,
         gamma_hat=gamma_hat,
         gamma_check=gamma_check,
         theta_check=theta_check,

@@ -12,7 +12,10 @@ the exponent range, a shifted suffix sum can fall below the smallest normal
 double and lose precision, or underflow to 0; those risk sums are accumulated
 in log space instead.  The gradient weights switch to log space when a
 reciprocal risk sum overflows.  Both stay accurate and finite however far f
-spreads.
+spreads.  The core works on values already gathered into the sorted order of
+the dataset's risk index, one vector or one per column of an (n, P) matrix;
+``neg_log_partial_likelihood`` gathers and calls it, and a caller that scores
+many combinations of the same vectors gathers those vectors once instead.
 
 Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
 columns are basis functions evaluated at the training points, and a penalty P,
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import RiskSetIndex, SurvivalDataset
 from .kernels import GramMatrix, KernelConfig, constant_norm_squared, gram_matrix
 
 # A training point joins the representer basis when the Schur-complement
@@ -59,17 +62,15 @@ _ROW_BLOCK = 128
 _TINY = np.finfo(float).tiny
 
 
-def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
+def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
     """Per event, in sorted order: log sum_{q >= group_start(p)} exp(fs_q).
 
-    Works down the first axis, so ``fvalues`` is one vector of n values or an
-    (n, P) matrix holding one such vector per column.  Returns (idx, fs,
-    log_risk, shifted_exp) where idx is the dataset's risk index, fs the
-    sorted f values, log_risk has one row per event at sorted position p,
+    ``fs`` holds f values already in the risk index ``idx``'s sorted order,
+    one vector of n values or an (n, P) matrix holding one such vector per
+    column; the work runs down the first axis.  Returns (log_risk,
+    shifted_exp) where log_risk has one row per event at sorted position p
     and shifted_exp = exp(fs - column max).
     """
-    idx = data.risk_index()
-    fs = fvalues[idx.order]
     m = fs.max(axis=0)
     shifted = np.exp(fs - m)
     suffix = np.cumsum(shifted[::-1], axis=0)[::-1]
@@ -83,7 +84,7 @@ def _sorted_log_risk_sums(fvalues: np.ndarray, data: SurvivalDataset):
         # underflowed to 0; sum those suffixes in log space instead
         log_suffix = np.logaddexp.accumulate(fs[::-1], axis=0)[::-1]
         log_risk = np.where(normal, log_risk, log_suffix[starts])
-    return idx, fs, log_risk, shifted
+    return log_risk, shifted
 
 
 def _column_sums(values: np.ndarray):
@@ -92,10 +93,16 @@ def _column_sums(values: np.ndarray):
     return np.ascontiguousarray(values.T).sum(axis=-1)
 
 
-def _neg_log_partial_likelihood_columns(fvalues: np.ndarray, data: SurvivalDataset):
-    """The loss of one vector, or of each column of an (n, P) matrix."""
-    idx, fs, log_risk, _ = _sorted_log_risk_sums(fvalues, data)
-    n = len(data)
+def _sorted_neg_log_partial_likelihood(fs: np.ndarray, idx: RiskSetIndex):
+    """The likelihood core: the loss of one vector, or of each column of an (n, P) matrix.
+
+    ``fs`` is already in the sorted order of the risk index ``idx``
+    (``fvalues[idx.order]``), so a caller that scores many vectors gathers
+    their shared parts once.  Each column's loss is bit-identical to the loss
+    of that column alone.  Values are not checked.
+    """
+    log_risk, _ = _sorted_log_risk_sums(fs, idx)
+    n = fs.shape[0]
     log_s = log_risk - np.log(n)
     return (_column_sums(log_s) - _column_sums(fs[idx.event_sorted])) / n
 
@@ -105,7 +112,8 @@ def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float | np.nda
 
     ``fvalues`` holds one value per record and gives a float, or is a (P, n)
     stack of such vectors and gives the array of its P losses, each
-    bit-identical to the loss of its row alone.  A stack is scored
+    bit-identical to the loss of its row alone.  The values are gathered into
+    the dataset's sorted order and scored by the core; a stack goes
     ``_ROW_BLOCK`` rows per pass, which bounds the temporaries.  All-censored
     data give 0.0.
     """
@@ -114,12 +122,13 @@ def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float | np.nda
         raise ValueError(f"expected {len(data)} relative-risk values")
     if not np.all(np.isfinite(fvalues)):
         raise ValueError("relative-risk values must be finite")
+    idx = data.risk_index()
     if fvalues.ndim == 1:
-        return float(_neg_log_partial_likelihood_columns(fvalues, data))
+        return float(_sorted_neg_log_partial_likelihood(fvalues[idx.order], idx))
     losses = np.empty(fvalues.shape[0])
     for start in range(0, fvalues.shape[0], _ROW_BLOCK):
-        block = np.ascontiguousarray(fvalues[start:start + _ROW_BLOCK].T)
-        losses[start:start + _ROW_BLOCK] = _neg_log_partial_likelihood_columns(block, data)
+        block = np.ascontiguousarray(fvalues[start:start + _ROW_BLOCK].T)[idx.order]
+        losses[start:start + _ROW_BLOCK] = _sorted_neg_log_partial_likelihood(block, idx)
     return losses
 
 
@@ -131,7 +140,9 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     function value.
     """
     fvalues = np.asarray(fvalues, dtype=float)
-    idx, fs, log_risk, shifted = _sorted_log_risk_sums(fvalues, data)
+    idx = data.risk_index()
+    fs = fvalues[idx.order]
+    log_risk, shifted = _sorted_log_risk_sums(fs, idx)
     n = len(data)
     ev = idx.event_sorted
     # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted

@@ -1,11 +1,13 @@
-"""Kernel oracles: pointwise evaluation and the kappa limit functional.
+"""Kernel oracles: pointwise evaluation, the one-shot Gaussian formula and kappa.
 
 ``eval_kernel`` evaluates one pair of points through the library's
 vectorised ``cross_matrix``, which the pointwise kernel tests check against
-closed forms.  ``kappa_matrix`` is the limit of 1 / (1' (A + dI)^{-1} 1) as
-d -> 0; over Gram matrices of growing point sets its infimum approaches the
-inverse squared Hilbert norm of the constant, the independent check of the
-library's closed-form ``constant_norm_squared``.
+closed forms.  ``gaussian_cross_matrix`` is the Gaussian cross matrix from one
+(n, m, d) difference tensor, the reference for the library's row blocks.
+``kappa_matrix`` is the limit of 1 / (1' (A + dI)^{-1} 1) as d -> 0; over
+Gram matrices of growing point sets its infimum approaches the inverse
+squared Hilbert norm of the constant, the independent check of the library's
+closed-form ``constant_norm_squared``.
 """
 
 import math
@@ -26,6 +28,17 @@ def eval_kernel(config, x, y) -> float:
     if x.shape != y.shape:
         raise ValueError("dimension mismatch between x and y")
     return float(cross_matrix(config, x[None, :], y[None, :])[0, 0])
+
+
+def gaussian_cross_matrix(config, xs, ys) -> np.ndarray:
+    """The Gaussian kernel's cross matrix, all pairs in one difference tensor."""
+    diff = xs[:, None, :] - ys[None, :, :]
+    if config.lengthscales is not None:
+        quad = ((diff / np.asarray(config.lengthscales)) ** 2).sum(axis=-1)
+    else:
+        sigma_inv = np.linalg.inv(np.asarray(config.sigma))
+        quad = np.einsum("nmi,ij,nmj->nm", diff, sigma_inv, diff)
+    return config.shift + np.exp(-quad)
 
 
 def kappa_matrix(A) -> float:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from feature_map_oracle import feature_map, feature_matrix
-from kernel_oracle import eval_kernel, kappa_matrix
+from kernel_oracle import eval_kernel, gaussian_cross_matrix, kappa_matrix
 from survcare import (
     AdditiveKernel,
     GaussianKernel,
@@ -142,6 +143,34 @@ class TestGramMatrix:
             evals = np.linalg.eigvalsh(k)
             op_norm = max(abs(evals[0]), abs(evals[-1]))
             assert evals.min() >= -1e-8 * op_norm
+
+
+class TestGaussianRowBlocks:
+    D10_SIGMA = np.eye(10) + 0.1 * np.ones((10, 10))
+
+    @pytest.mark.parametrize("config", [
+        GaussianKernel(shift=0.5, lengthscales=tuple(np.linspace(0.3, 2.0, 10))),
+        GaussianKernel(shift=0.5, sigma=tuple(map(tuple, D10_SIGMA))),
+    ], ids=["lengthscales", "sigma"])
+    @pytest.mark.parametrize("rows", [1, 7, 301])
+    def test_blocks_match_the_one_shot_formula(self, config, rows):
+        # 257 columns at d=10 fill no block exactly, and no row count here
+        # is a whole number of blocks
+        rng = np.random.default_rng(rows)
+        xs, ys = rng.normal(size=(rows, 10)), rng.normal(size=(257, 10))
+        out = cross_matrix(config, xs, ys)
+        assert out.tobytes() == gaussian_cross_matrix(config, xs, ys).tobytes()
+
+    def test_peak_memory_is_bounded_by_the_output(self):
+        config = GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10)
+        xs = np.random.default_rng(0).uniform(size=(600, 10))
+        tracemalloc.start()
+        try:
+            out = cross_matrix(config, xs, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * out.nbytes
 
 
 class TestKappa:

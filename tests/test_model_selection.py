@@ -1,4 +1,7 @@
 import csv
+import gc
+import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from survcare import (
     AllFitsFailed,
+    DgpConfig,
     GammaGrid,
     GaussianKernel,
     OptimOptions,
@@ -22,7 +26,7 @@ from survcare import (
     validation_loss,
 )
 from survcare import estimators
-from survcare.model_selection import ExternalSpec, _fit_gamma_path, fit_care_path
+from survcare.model_selection import CareEntry, ExternalSpec, _fit_gamma_path, fit_care_path
 from theta_grid_oracle import recursive_theta_points
 
 
@@ -97,6 +101,17 @@ class TestThetaGrid:
         grid = theta_grid(num_externals, resolution)
         assert grid.points == recursive_theta_points(num_externals, resolution)
         assert all(type(t) is float for p in grid.points for t in p)
+
+    def test_array_holds_the_points_read_only(self):
+        grid = theta_grid(3, 4)
+        assert grid.array.shape == (len(grid), 3)
+        assert grid.array.tolist() == [list(p) for p in grid.points]
+        assert not grid.array.flags.writeable
+        assert "array" not in repr(grid)
+        given = np.array(grid.points)
+        same = ThetaGrid(given)
+        assert same == grid and hash(same) == hash(grid)
+        assert given.flags.writeable  # the grid keeps a copy, not the caller's array
 
 
 class TestCrossValidateGamma:
@@ -336,7 +351,83 @@ class TestPredictCare:
             assert min(parts) - 1e-12 <= value <= max(parts) + 1e-12
 
 
+@pytest.fixture(scope="module")
+def scanned(cv_setup, sob1):
+    train, valid, truth = cv_setup
+    spec = ExternalSpec(name="ext", fn=truth.external)
+    _, report = fit_care(train, valid, sob1, SMALL_GRID, [spec, spec], theta_grid(2, 5))
+    return report
+
+
+def csv_bytes_by_row_formula(report) -> bytes:
+    """The report's CSV written one row per care entry, or per level without externals."""
+    entries = list(report.care_entries)
+    num_theta = len(entries[0].theta) if entries else 0
+    by_gamma = {e.gamma: e for e in report.gamma_entries}
+    sink = io.StringIO(newline="")
+    writer = csv.writer(sink)
+    writer.writerow(["gamma", *[f"theta_{m + 1}" for m in range(num_theta)],
+                     "train_loss", "valid_loss", "converged"])
+    for e in entries:
+        g = by_gamma[e.gamma]
+        writer.writerow([repr(e.gamma), *[repr(t) for t in e.theta],
+                         repr(g.train_loss), repr(e.valid_loss), int(g.converged)])
+    if not entries:
+        for g in report.gamma_entries:
+            writer.writerow([repr(g.gamma), repr(g.train_loss), repr(g.valid_loss),
+                             int(g.converged)])
+    return sink.getvalue().encode("utf-8")
+
+
 class TestCvReport:
+    def test_entries_view_matches_the_arrays(self, scanned):
+        expected = [CareEntry(gamma, theta, loss)
+                    for gamma, losses in zip(scanned.care_gammas, scanned.care_losses.tolist())
+                    for theta, loss in zip(scanned.care_thetas, losses)]
+        view = scanned.care_entries
+        assert scanned.care_losses.shape == (len(scanned.care_gammas), len(theta_grid(2, 5)))
+        assert len(view) == len(expected) > 7
+        assert view[0] == expected[0]
+        assert view[-1] == expected[-1]
+        assert view[::7] == expected[::7]
+        assert list(view) == expected
+        assert all(type(t) is float for e in view for t in e.theta)
+        assert all(type(e.gamma) is float and type(e.valid_loss) is float for e in view[::7])
+        with pytest.raises(IndexError):
+            view[len(expected)]
+        with pytest.raises(TypeError):
+            view[0] = expected[0]
+
+    def test_csv_bytes_match_the_row_formula(self, cv_setup, sob1, scanned, tmp_path):
+        path = tmp_path / "care.csv"
+        scanned.to_csv(path)
+        assert path.read_bytes() == csv_bytes_by_row_formula(scanned)
+        train, valid, _ = cv_setup
+        _, report, _ = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
+        report.to_csv(path)
+        assert path.read_bytes() == csv_bytes_by_row_formula(report)
+
+    def test_d10_theta_scan_retains_little_memory(self):
+        # 1,771 weight vectors per level: one object per (level, point)
+        # would hold megabytes, the loss array 8 bytes per pair
+        data, _ = simulate_dataset(DgpConfig("multivariate_d10"), 240, 8)
+        train, valid = split_train_validation(data, 9)
+        rng = np.random.default_rng(10)
+        externals = [ExternalSpec(name=f"table_{m}", train_values=rng.normal(size=len(train)),
+                                  valid_values=rng.normal(size=len(valid))) for m in range(3)]
+        kernel = GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10)
+        grid, thetas = GammaGrid.geometric(1e-5, 10.0, 10), theta_grid(3, 20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = fit_care(train, valid, kernel, grid, externals, thetas)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5e6
+        assert len(result[1].care_entries) % len(thetas) == 0 < len(result[1].care_entries)
+
     def test_csv_round_trip(self, cv_setup, sob1, tmp_path):
         train, valid, truth = cv_setup
         externals = [ExternalSpec(name="ext", fn=truth.external)]
