@@ -60,9 +60,6 @@ _OPTIMIZER_SCHEMA = {
     "properties": {
         "gradient_tolerance": {"type": "number", "exclusiveMinimum": 0},
         "max_iterations": {"type": "integer", "minimum": 1},
-        "armijo_slope": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "backtrack_factor": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "initial_step": {"type": "number", "exclusiveMinimum": 0},
     },
 }
 _GAMMA_GRID_SCHEMA = {

@@ -1,14 +1,14 @@
 """Fitted relative-risk estimators and centred external predictors.
 
 A fit is one solve, ``_fit_penalised``, of the strongly convex penalised
-likelihood l(D theta) + gamma theta' P theta over a (design, penalty) pair.
-``fit_kernel_estimator`` takes D and P from the representer route, over a
-basis subset of training points, which suits any kernel; a polynomial
-kernel's basis already shrinks to its feature rank there.  The solver sees
-only the pair, so any other route, such as the polynomial feature map the
-tests compare against, runs through the same solve.  ``CenteredExternal``
-holds an external predictor with its training mean subtracted, as the
-convex aggregation of ``model_selection`` builds it.
+likelihood l(D theta) + gamma ||R theta||^2 over a design D and an exact
+factor R of its penalty.  ``fit_kernel_estimator`` takes D and R from the
+representer route, over a basis subset of training points, which suits any
+kernel; a polynomial kernel's basis already shrinks to its feature rank
+there.  The solver sees only the pair, so any other route, such as the
+polynomial feature map the tests compare against, runs through the same
+solve.  ``CenteredExternal`` holds an external predictor with its training
+mean subtracted, as the convex aggregation of ``model_selection`` builds it.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class KernelEstimator:
 
 def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
                    options: OptimOptions | None) -> tuple[OptimResult, str | None]:
-    """Minimise l(D theta) + gamma theta' P theta from ``warm`` (zero when None).
+    """Minimise l(D theta) + gamma ||R theta||^2 from ``warm`` (zero when None).
 
     Returns the result in theta coordinates, with the gradient norm and the
     convergence flag of the penalised gradient, and the fit's warning if any.
@@ -107,7 +107,7 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     train = problem.dataset
-    m = problem.penalty.shape[0]
+    m = problem.design.shape[1]
     init = np.zeros(m) if warm is None else np.asarray(warm, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"warm start must have length {m}")
@@ -155,6 +155,7 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
         ctx = RepresenterContext.build(train, kernel)
     result, fit_warning = _fit_penalised(ctx, gamma, warm, options)
     beta = result.minimizer
+    w = ctx.from_beta @ beta
     return KernelEstimator(
         kernel=kernel,
         basis_points=train.covariates[ctx.basis],
@@ -162,7 +163,7 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
         kbar_at_basis=ctx.kbar[ctx.basis],
         converged=result.converged,
         gradient_norm=result.gradient_norm,
-        hilbert_norm_squared=float(beta @ ctx.penalty @ beta),
+        hilbert_norm_squared=float(w @ w),
         fit_warning=fit_warning,
         objective_trace=result.trace,
     )

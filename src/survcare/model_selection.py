@@ -263,10 +263,11 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
                     grid: GammaGrid, options: OptimOptions | None):
     """Fit every grid value in decreasing order with warm starts.
 
-    Returns (ctx, fits, report_entries, valid_predictions) keyed/ordered by
-    gamma.  Every fit shares the basis and kbar of ctx, so the centred cross
-    matrix between the validation points and the basis is computed once and
-    each level's validation predictions are one product with its beta.
+    Returns (fits, report_entries, valid_predictions) keyed/ordered by
+    gamma.  Every fit shares the basis and kbar of one context, so the
+    centred cross matrix between the validation points and the basis is
+    computed once and each level's validation predictions are one product
+    with its beta.
     """
     if train.dimension != valid.dimension:
         raise ValueError("training and validation dimensions differ")
@@ -292,7 +293,7 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
             converged=est.converged,
         )
     ordered = [entries[g] for g in grid.values]
-    return ctx, fits, ordered, valid_preds
+    return fits, ordered, valid_preds
 
 
 def _select_gamma(entries: list[GammaEntry]) -> float:
@@ -314,7 +315,7 @@ def cross_validate_gamma(train: SurvivalDataset, valid: SurvivalDataset,
     fitted estimator.  Non-converged fits are recorded but excluded from the
     selection; if all fits fail, AllFitsFailed is raised.
     """
-    _, fits, entries, _ = _fit_gamma_path(train, valid, kernel, grid, options)
+    fits, entries, _ = _fit_gamma_path(train, valid, kernel, grid, options)
     gamma_hat = _select_gamma(entries)
     report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat)
     return gamma_hat, report, fits
@@ -419,7 +420,7 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
                   gammas: GammaGrid, externals: list[ExternalSpec], thetas: ThetaGrid | None,
                   options: OptimOptions | None = None):
     """Like fit_care, but also returns the per-gamma fitted estimator map."""
-    _, fits, entries, valid_preds = _fit_gamma_path(train, valid, kernel, gammas, options)
+    fits, entries, valid_preds = _fit_gamma_path(train, valid, kernel, gammas, options)
     gamma_hat = _select_gamma(entries)
 
     if not externals:

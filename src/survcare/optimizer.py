@@ -12,28 +12,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Armijo backtracking: each search starts at the full step, halves it up to
+# MAX_BACKTRACKS times, and accepts the first step with a decrease of at
+# least ARMIJO_SLOPE times the step's first-order prediction.
 MAX_BACKTRACKS = 60
+BACKTRACK_FACTOR = 0.5
+ARMIJO_SLOPE = 1e-4
+INITIAL_STEP = 1.0
 
 
 @dataclass(frozen=True)
 class OptimOptions:
     gradient_tolerance: float = 1e-8
     max_iterations: int = 500
-    armijo_slope: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
         if not (self.gradient_tolerance > 0):
             raise ValueError("gradient_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0 < self.armijo_slope < 1):
-            raise ValueError("armijo_slope must lie in (0, 1)")
-        if not (0 < self.backtrack_factor < 1):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not (self.initial_step > 0):
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -107,15 +104,15 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
             slope = float(g @ direction)
         if slope >= -1e-16 * abs(fx):
             break  # descent below the objective's rounding noise
-        step = opts.initial_step
+        step = INITIAL_STEP
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * direction
             f_new = float(objective(x_new))
-            if np.isfinite(f_new) and f_new <= fx + opts.armijo_slope * step * slope:
+            if np.isfinite(f_new) and f_new <= fx + ARMIJO_SLOPE * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             break
         g_new = np.asarray(gradient(x_new), dtype=float)

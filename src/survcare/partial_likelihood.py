@@ -17,11 +17,12 @@ the dataset's risk index, one vector or one per column of an (n, P) matrix;
 ``neg_log_partial_likelihood`` gathers and calls it, and a caller that scores
 many combinations of the same vectors gathers those vectors once instead.
 
-Every fit minimises l(D theta) + gamma theta' P theta for a design D, whose
-columns are basis functions evaluated at the training points, and a penalty P,
-their Gram form in the Hilbert space, with an exact factor P = R'R
-(``PenalisedProblem``).  Over representer coefficients beta indexed by the
-basis A (``RepresenterContext``) this is
+Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
+columns are basis functions evaluated at the training points, and an
+upper-triangular factor R of their Gram form in the Hilbert space
+(``PenalisedProblem``).  The penalty is R'R by definition; no m x m penalty
+matrix is stored.  Over representer coefficients beta indexed by the basis A
+(``RepresenterContext``) this is
 
     l(f_beta) + gamma * sum_{i,j in A} khat(X_i, X_j) beta_i beta_j
 
@@ -38,7 +39,9 @@ the columns before them: a column-skipping Cholesky factorisation accepts the
 constant, then each point whose Schur-complement diagonal, the squared
 Hilbert distance of k(., X_j) from the span of the constant and the sections
 accepted before it, exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest
-bordered entry.  Centring that factor gives R for khat without forming khat.
+bordered entry.  Centring that factor gives R for khat without forming khat,
+whose formula loses digits to cancellation when khat is far smaller than the
+Gram entries.
 """
 
 from __future__ import annotations
@@ -217,40 +220,40 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
 
 @dataclass
 class PenalisedProblem:
-    """The objective l(D theta) + gamma theta' P theta on one training dataset.
+    """The objective l(D theta) + gamma ||R theta||^2 on one training dataset.
 
-    D (``design``, n x m) holds per-record values of m basis functions and P
-    (``penalty``, m x m) is their positive definite Gram form, so every
-    fitting route is one choice of (D, P).  Everything stored is
-    gamma-independent, so one problem serves a whole regularisation path.
-    Immutable after construction.
+    D (``design``, n x m) holds per-record values of m basis functions and R
+    is an exact upper-triangular factor of their positive definite Gram form,
+    so every fitting route is one choice of (D, R).  The penalty is R'R by
+    definition: no m x m penalty matrix is formed or stored, and
+    ``from_beta`` carries R.  Everything stored is gamma-independent, so one
+    problem serves a whole regularisation path.  Immutable after
+    construction.
 
     Fitting does not run in theta coordinates directly: the penalty and the
     likelihood curvature are both severely ill-conditioned for smooth kernels.
     ``precondition`` therefore prepares a two-stage linear change of
-    variables.  First the penalty is whitened through an exact
-    upper-triangular factor R with R'R = P, so in w = R theta it is w'w by
-    definition, never a computed matrix; then the whitened design is rotated
-    into the eigenbasis Q of its own second-moment matrix, whose eigenvalues
-    ``curvature`` proxy the likelihood Hessian.  Per regularisation level the
-    fit scales these coordinates by sqrt(2 gamma + curvature), which makes
-    the effective Hessian nearly the identity for every gamma.  The change of
-    variables is exact, so the minimised objective and the resulting fitted
-    function are unchanged.
+    variables.  First the penalty is whitened through R, so in w = R theta it
+    is w'w; then the whitened design is rotated into the eigenbasis Q of its
+    own second-moment matrix, whose eigenvalues ``curvature`` proxy the
+    likelihood Hessian.  Per regularisation level the fit scales these
+    coordinates by sqrt(2 gamma + curvature), which makes the effective
+    Hessian nearly the identity for every gamma.  The change of variables is
+    exact, so the minimised objective and the resulting fitted function are
+    unchanged.
     """
 
     dataset: SurvivalDataset
     design: np.ndarray        # D, n x m
-    penalty: np.ndarray       # P, m x m
     prec_design: np.ndarray   # D in preconditioned coordinates
     curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
     to_beta: np.ndarray       # theta = to_beta @ w
-    from_beta: np.ndarray     # w = from_beta @ theta
+    from_beta: np.ndarray     # w = from_beta @ theta = Q' R theta
 
     @classmethod
-    def precondition(cls, dataset: SurvivalDataset, design: np.ndarray, penalty: np.ndarray,
-                     factor: np.ndarray, **fields):
-        """Build the problem for (design, penalty) given ``factor``, R with R'R = penalty.
+    def precondition(cls, dataset: SurvivalDataset, design: np.ndarray, factor: np.ndarray,
+                     **fields):
+        """Build the problem for ``design`` and ``factor``, the R of the penalty R'R.
 
         R is upper triangular and nonsingular; ``fields`` go to a subclass.
         """
@@ -261,7 +264,7 @@ class PenalisedProblem:
         prec_design = whitened @ rot
         to_beta = factor_inv @ rot
         from_beta = rot.T @ factor
-        arrays = (design, penalty, prec_design, curvature, to_beta, from_beta)
+        arrays = (design, prec_design, curvature, to_beta, from_beta)
         for arr in arrays:
             arr.flags.writeable = False
         return cls(dataset, *arrays, **fields)
@@ -276,37 +279,33 @@ class PenalisedProblem:
 
 @dataclass
 class RepresenterContext(PenalisedProblem):
-    """The representer route's problem: D = ktilde and P = khat over the basis.
+    """The representer route's problem: D = ktilde and R'R = khat over the basis.
 
     ``basis`` indexes the training points whose centred kernel sections span
     the fit, so theta is the coefficient vector beta of the module docstring.
+    The Gram matrix is freed once the design is taken from it.
     """
 
-    gram: GramMatrix
-    constant_norm_sq: float
     basis: np.ndarray
     kbar: np.ndarray
 
     @classmethod
     def build(cls, dataset: SurvivalDataset, kernel: KernelConfig) -> "RepresenterContext":
-        cns = constant_norm_squared(kernel)
         gram = gram_matrix(kernel, dataset.covariates)
-        basis, lower = build_representer_basis(gram, cns)
+        basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
         k = gram.entries
         kbar = k.mean(axis=0)
         kb = kbar[basis]
         # the centred sections are (1, k(., X_A)) T with T = [-kb'; I], so
-        # khat = T' lower lower' T = R'R for the R of a QR of lower' T; lower
-        # and its centred copy are freed before whitening allocates
+        # khat = T' lower lower' T = R'R for the R of a QR of lower' T; lower,
+        # its centred copy and the Gram are freed before whitening allocates
         factor = np.linalg.qr(lower[1:].T - np.outer(lower[0], kb), mode="r")
         del lower
         ktilde = k[:, basis] - kb[None, :]
-        khat = k[np.ix_(basis, basis)] - kb[:, None] - kb[None, :] + np.outer(kb, kb) * cns
-        khat = 0.5 * (khat + khat.T)
+        del gram, k
         basis.flags.writeable = False
         kbar.flags.writeable = False
-        return cls.precondition(dataset, ktilde, khat, factor, gram=gram,
-                                constant_norm_sq=cns, basis=basis, kbar=kbar)
+        return cls.precondition(dataset, ktilde, factor, basis=basis, kbar=kbar)
 
     @property
     def basis_size(self) -> int:
@@ -321,7 +320,7 @@ def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float) -> np.ndarray:
         raise ValueError("beta must be finite")
     fvals = ctx.design @ beta
     u = likelihood_gradient_weights(fvals, ctx.dataset)
-    return ctx.design.T @ u + 2.0 * gamma * (ctx.penalty @ beta)
+    return ctx.design.T @ u + 2.0 * gamma * (ctx.from_beta.T @ (ctx.from_beta @ beta))
 
 
 def preconditioned_objective(v, ctx: PenalisedProblem, gamma: float) -> float:

@@ -28,6 +28,21 @@ def bordered_matrix(gram_entries, cns):
     return out
 
 
+def khat_matrix(gram_entries, cns, basis):
+    """The centred penalty khat over ``basis`` by its formula.
+
+    khat(X_i, X_j) = k(X_i, X_j) - kbar_i - kbar_j + kbar_i kbar_j cns, with
+    kbar the column means of the Gram matrix.  The library never forms it: it
+    defines the penalty as R'R for an exact factor R.  The formula cancels to
+    about eps times the Gram entries, so it is a reference only to that
+    absolute accuracy.
+    """
+    kbar = gram_entries.mean(axis=0)[basis]
+    khat = (gram_entries[np.ix_(basis, basis)] - kbar[:, None] - kbar[None, :]
+            + np.outer(kbar, kbar) * cns)
+    return 0.5 * (khat + khat.T)
+
+
 def rref_pivot_columns(matrix: np.ndarray, rel_tol: float = RREF_PIVOT_TOL) -> list[int]:
     """Pivot-column indices of the reduced row echelon form.
 

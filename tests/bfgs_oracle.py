@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from survcare.optimizer import MAX_BACKTRACKS, OptimOptions, OptimResult
+from survcare.optimizer import (
+    ARMIJO_SLOPE,
+    BACKTRACK_FACTOR,
+    INITIAL_STEP,
+    MAX_BACKTRACKS,
+    OptimOptions,
+    OptimResult,
+)
 
 
 def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None) -> OptimResult:
@@ -53,15 +60,15 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
             slope = float(g @ direction)
         if slope >= -1e-16 * abs(fx):
             break  # descent below the objective's rounding noise
-        step = opts.initial_step
+        step = INITIAL_STEP
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * direction
             f_new = float(objective(x_new))
-            if np.isfinite(f_new) and f_new <= fx + opts.armijo_slope * step * slope:
+            if np.isfinite(f_new) and f_new <= fx + ARMIJO_SLOPE * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             break
         g_new = np.asarray(gradient(x_new), dtype=float)

@@ -103,7 +103,7 @@ def fit_feature_map_estimator(train, kernel: PolynomialKernel, gamma: float,
     u = means / c
     penalty = np.eye(u.shape[0]) + np.outer(u, u)
     problem = PenalisedProblem.precondition(
-        train, phi[:, :-1] - means[None, :], penalty, np.linalg.cholesky(penalty).T)
+        train, phi[:, :-1] - means[None, :], np.linalg.cholesky(penalty).T)
     result, fit_warning = _fit_penalised(problem, gamma, warm, options)
     alpha = result.minimizer
     return FeatureMapEstimator(
@@ -111,6 +111,6 @@ def fit_feature_map_estimator(train, kernel: PolynomialKernel, gamma: float,
         alpha=alpha,
         feature_means=means,
         converged=result.converged,
-        hilbert_norm_squared=float(alpha @ problem.penalty @ alpha),
+        hilbert_norm_squared=float(alpha @ penalty @ alpha),
         fit_warning=fit_warning,
     )

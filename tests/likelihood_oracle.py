@@ -5,8 +5,9 @@ by time, a suffix sum and log-space fallbacks.  The references here loop over
 events and build each risk set {j : T_j >= T_i} by comparison, ties included,
 in O(n^2).  Log-sums go through ``np.logaddexp.reduce``, so they stay finite
 at any spread of f.  ``penalized_objective`` is the penalised objective in
-theta coordinates, the function whose finite differences check the
-library's analytic ``penalized_gradient``.
+theta coordinates, with the penalty ||R theta||^2 that defines the problem,
+the function whose finite differences check the library's analytic
+``penalized_gradient``.
 """
 
 import math
@@ -47,5 +48,6 @@ def penalized_objective(beta, ctx, gamma: float) -> float:
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
     fvals = ctx.design @ beta
-    pen = gamma * float(beta @ ctx.penalty @ beta)
+    w = ctx.from_beta @ beta  # Q' R theta, with Q orthogonal
+    pen = gamma * float(w @ w)
     return neg_log_partial_likelihood(fvals, ctx.dataset) + pen

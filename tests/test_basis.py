@@ -16,7 +16,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from basis_oracle import RREF_PIVOT_TOL, bordered_matrix, rref_basis, rref_basis_and_factor
+from basis_oracle import (
+    RREF_PIVOT_TOL,
+    bordered_matrix,
+    khat_matrix,
+    rref_basis,
+    rref_basis_and_factor,
+)
 from likelihood_oracle import penalized_objective
 from survcare import (
     AdditiveKernel,
@@ -37,8 +43,8 @@ GAMMA = 0.1
 OBJECTIVE_REL_GAP = 1e-8
 FITTED_SUP_GAP = 1e-6
 
-CONTEXT_ARRAYS = ("basis", "kbar", "design", "penalty", "prec_design", "curvature",
-                  "to_beta", "from_beta")
+CONTEXT_ARRAYS = ("basis", "kbar", "design", "prec_design", "curvature", "to_beta",
+                  "from_beta")
 
 
 def kernel_and_dimension():
@@ -101,7 +107,8 @@ def check_against_oracle(monkeypatch, kernel, data):
             a, b = getattr(ctx, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         return
-    bordered = bordered_matrix(ctx.gram.entries, ctx.constant_norm_sq)
+    bordered = bordered_matrix(gram_matrix(kernel, data.covariates).entries,
+                               constant_norm_squared(kernel))
     accepted = np.concatenate(([0], ctx.basis + 1))
     residual = schur_diagonals(bordered, accepted, np.arange(len(data) + 1))
     # the selector uses the oracle's relative tolerance; twice that, since the
@@ -131,17 +138,21 @@ def test_selector_matches_row_reduction(monkeypatch, problem):
 @given(problem=basis_problems())
 def test_penalty_factor_is_exact(problem):
     # the whitening factor comes from the selector's Cholesky factor, with no
-    # ridge, so from_beta' from_beta = R'R reproduces khat to rounding.  khat
-    # is formed from terms of the bordered matrix's size; where it is far
-    # smaller (a Sobolev-2 section close to the constant) the formula's own
-    # cancellation is of order eps times those terms, hence the second term
+    # ridge, so from_beta' from_beta = R'R reproduces khat to rounding.  The
+    # khat formula is formed from terms of the bordered matrix's size; where
+    # khat is far smaller (a Sobolev-2 section close to the constant) the
+    # formula's own cancellation is of order eps times those terms, hence the
+    # second term
     kernel, data = problem
     ctx = RepresenterContext.build(data, kernel)
     assert np.all(np.isfinite(ctx.to_beta))
     if ctx.basis_size:
-        gap = np.abs(ctx.from_beta.T @ ctx.from_beta - ctx.penalty).max()
-        terms = np.abs(bordered_matrix(ctx.gram.entries, ctx.constant_norm_sq)).max()
-        assert gap <= 1e-11 * np.abs(ctx.penalty).max() + 1e-14 * terms
+        gram = gram_matrix(kernel, data.covariates).entries
+        cns = constant_norm_squared(kernel)
+        khat = khat_matrix(gram, cns, ctx.basis)
+        gap = np.abs(ctx.from_beta.T @ ctx.from_beta - khat).max()
+        terms = np.abs(bordered_matrix(gram, cns)).max()
+        assert gap <= 1e-11 * np.abs(khat).max() + 1e-14 * terms
 
 
 def test_empty_basis_at_origin():

@@ -110,6 +110,18 @@ class TestCv:
         assert main(["cv", f"{simulated}_data.csv", f"{simulated}_data.csv",
                      "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("armijo_slope", 1e-4), ("backtrack_factor", 0.5), ("initial_step", 1.0)])
+    def test_line_search_constant_in_config_exit_2(self, tmp_path, simulated, capsys,
+                                                   key, value):
+        # the line search's constants are not options: naming one is an error
+        cfg = dict(CV_CONFIG, optimizer={key: value})
+        path = write_json(tmp_path / "cv.json", cfg)
+        assert main(["cv", f"{simulated}_data.csv", f"{simulated}_data.csv",
+                     "--config", path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "optimizer" in err and key in err
+
     def test_all_fits_failed_exit_4(self, tmp_path, simulated):
         cfg = dict(CV_CONFIG)
         cfg["optimizer"] = {"gradient_tolerance": 1e-30, "max_iterations": 1}

@@ -44,7 +44,7 @@ class TestFitKernelEstimator:
         ctx = RepresenterContext.build(small_dataset, sob1)
         est = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx)
         fitted = neg_log_partial_likelihood(ctx.fitted_values(est.beta), small_dataset) \
-            + 0.05 * float(est.beta @ ctx.penalty @ est.beta)
+            + 0.05 * est.hilbert_norm_squared
         at_zero = neg_log_partial_likelihood(np.zeros(len(small_dataset)), small_dataset)
         assert fitted <= at_zero
 
@@ -216,7 +216,8 @@ class TestFeatureMapEstimator:
             beta = rng.normal(0, 1, ctx.basis_size)
             alpha = phi[ctx.basis, :-1].T @ beta
             feature_norm = float(alpha @ alpha) + (float(means @ alpha) / c) ** 2
-            assert feature_norm == pytest.approx(bordered_norm_oracle(ctx, beta), rel=1e-8)
+            assert feature_norm == pytest.approx(bordered_norm_oracle(ctx, kernel, beta),
+                                                 rel=1e-8)
 
     def test_training_mean_zero(self, small_dataset):
         kernel = PolynomialKernel(degree=2, shift=1.0)

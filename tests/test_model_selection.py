@@ -298,7 +298,7 @@ class TestPathPredictions:
         original = estimators.cross_matrix
         monkeypatch.setattr(estimators, "cross_matrix",
                             lambda *args: calls.append(1) or original(*args))
-        _, fits, _, preds = _fit_gamma_path(train, valid, kernel, SMALL_GRID, None)
+        fits, _, preds = _fit_gamma_path(train, valid, kernel, SMALL_GRID, None)
         assert len(calls) == 1  # one validation cross matrix for the whole path
         for gamma in SMALL_GRID.values:
             direct = fits[gamma].predict_many(valid.covariates)
@@ -309,8 +309,8 @@ class TestPathPredictions:
         # constant times the shift, so the basis is empty
         train = SurvivalDataset([[0.0]], [0.5], [False])
         valid = SurvivalDataset([[0.2], [0.5], [0.9]], [0.3, 0.6, 0.9], [False, True, False])
-        _, fits, _, preds = _fit_gamma_path(train, valid, Sobolev1Kernel(shift=2.0),
-                                            SMALL_GRID, None)
+        fits, _, preds = _fit_gamma_path(train, valid, Sobolev1Kernel(shift=2.0),
+                                         SMALL_GRID, None)
         for gamma in SMALL_GRID.values:
             assert fits[gamma].beta.size == 0
             direct = fits[gamma].predict_many(valid.covariates)

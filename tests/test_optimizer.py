@@ -123,13 +123,7 @@ def test_option_validation():
     with pytest.raises(ValueError):
         OptimOptions(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
-        OptimOptions(armijo_slope=1.0)
-    with pytest.raises(ValueError):
-        OptimOptions(backtrack_factor=0.0)
-    with pytest.raises(ValueError):
         OptimOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimOptions(initial_step=-1.0)
 
 
 def test_immediate_convergence_at_optimum():

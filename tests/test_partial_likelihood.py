@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basis_oracle import bordered_matrix, rref_pivot_columns
+from basis_oracle import bordered_matrix, khat_matrix, rref_pivot_columns
 from conftest import all_censored_dataset
 from likelihood_oracle import (
     naive_gradient_weights,
@@ -34,12 +35,23 @@ from survcare.partial_likelihood import (
 from survcare.simulation import DgpConfig
 
 
-def bordered_norm_oracle(ctx, beta):
-    """Squared Hilbert norm of f_beta through the bordered quadratic form."""
-    sub = bordered_matrix(
-        ctx.gram.entries[np.ix_(ctx.basis, ctx.basis)], ctx.constant_norm_sq)
-    delta = np.concatenate(([-float(ctx.kbar[ctx.basis] @ beta)], beta))
+def bordered_norm_oracle(ctx, kernel, beta):
+    """Squared Hilbert norm of f_beta through the bordered quadratic form.
+
+    f_beta = sum_j beta_j k(., X_j) - (kbar_A' beta) 1 over the basis A, so
+    its norm is the bordered Gram matrix's quadratic form in
+    (-kbar_A' beta, beta), with the Gram matrix formed afresh.
+    """
+    gram = gram_matrix(kernel, ctx.dataset.covariates).entries
+    sub = bordered_matrix(gram[np.ix_(ctx.basis, ctx.basis)], constant_norm_squared(kernel))
+    delta = np.concatenate(([-float(gram.mean(axis=0)[ctx.basis] @ beta)], beta))
     return float(delta @ sub @ delta)
+
+
+def khat_reference(ctx, kernel):
+    """khat over the context's basis by its formula, from a fresh Gram matrix."""
+    gram = gram_matrix(kernel, ctx.dataset.covariates).entries
+    return khat_matrix(gram, constant_norm_squared(kernel), ctx.basis)
 
 
 class TestLikelihood:
@@ -235,25 +247,26 @@ class TestPenalizedObjective:
         ctx = RepresenterContext.build(data, sob1)
         rng = np.random.default_rng(1)
         beta = rng.normal(size=ctx.basis_size)
-        expected = 2.0 * float(beta @ ctx.penalty @ beta)
+        expected = 2.0 * float(beta @ khat_reference(ctx, sob1) @ beta)
         assert penalized_objective(beta, ctx, 2.0) == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_bordered_quadratic_oracle(self, ctx, small_dataset):
+    def test_matches_bordered_quadratic_oracle(self, ctx, small_dataset, sob1):
         rng = np.random.default_rng(2)
         for gamma in (1e-2, 1.0):
             beta = rng.normal(0, 1, ctx.basis_size)
             fvals = ctx.fitted_values(beta)
             assert abs(fvals.mean()) <= 1e-10  # P_n(f_beta) = 0
             oracle = neg_log_partial_likelihood(fvals, small_dataset) \
-                + gamma * bordered_norm_oracle(ctx, beta)
+                + gamma * bordered_norm_oracle(ctx, sob1, beta)
             assert penalized_objective(beta, ctx, gamma) == pytest.approx(oracle, rel=1e-9)
 
-    def test_penalty_form_equivalence(self, ctx):
+    def test_penalty_form_equivalence(self, ctx, sob1):
         rng = np.random.default_rng(4)
         for _ in range(10):
             beta = rng.normal(0, 2, ctx.basis_size)
-            direct = float(beta @ ctx.penalty @ beta)
-            assert direct == pytest.approx(bordered_norm_oracle(ctx, beta), rel=1e-9)
+            w = ctx.from_beta @ beta
+            direct = float(w @ w)
+            assert direct == pytest.approx(bordered_norm_oracle(ctx, sob1, beta), rel=1e-9)
 
     def test_convex_along_segments(self, ctx):
         rng = np.random.default_rng(5)
@@ -270,9 +283,10 @@ class TestPenalizedObjective:
     def test_centering_of_ktilde_columns(self, ctx):
         assert np.abs(ctx.design.mean(axis=0)).max() <= 1e-10
 
-    def test_khat_symmetric_psd(self, ctx):
-        np.testing.assert_allclose(ctx.penalty, ctx.penalty.T, atol=1e-12)
-        evals = np.linalg.eigvalsh(ctx.penalty)
+    def test_khat_symmetric_psd(self, ctx, sob1):
+        khat = khat_reference(ctx, sob1)
+        np.testing.assert_allclose(khat, khat.T, atol=1e-12)
+        evals = np.linalg.eigvalsh(khat)
         assert evals.min() >= -1e-8 * max(evals.max(), 1.0)
 
 
@@ -297,7 +311,8 @@ class TestPenalizedGradient:
         rng = np.random.default_rng(7)
         beta = rng.normal(size=ctx.basis_size)
         np.testing.assert_allclose(
-            penalized_gradient(beta, ctx, 1.5), 2 * 1.5 * (ctx.penalty @ beta), rtol=1e-12)
+            penalized_gradient(beta, ctx, 1.5), 2 * 1.5 * (khat_reference(ctx, sob1) @ beta),
+            rtol=1e-12)
 
     def test_zero_at_fitted_minimum(self, small_dataset, sob1):
         from survcare import fit_kernel_estimator
@@ -342,3 +357,22 @@ class TestMultivariateContext:
         assert 1 <= ctx.basis_size <= 30
         beta = np.linspace(-1, 1, ctx.basis_size)
         assert abs(ctx.fitted_values(beta).mean()) <= 1e-9
+
+
+def test_context_retains_only_what_a_fit_reads():
+    # the d=10 Gaussian setting of the care_d10_theta benchmark workload,
+    # where every training point enters the basis.  A fit reads two n x m
+    # designs and two m x m transforms; keeping the n x n Gram matrix or an
+    # m x m penalty as well would exceed the bound
+    data, _ = simulate_dataset(DgpConfig("multivariate_d10"), 400, 1)
+    kernel = GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = RepresenterContext.build(data, kernel)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n, m = len(data), ctx.basis_size
+    assert m == n
+    assert retained <= 1.1 * 8 * (2 * n * m + 2 * m * m)
