@@ -29,7 +29,7 @@ from .data import (
     write_json,
 )
 from .estimators import fit_kernel_estimator
-from .evaluation import breslow_survival, concordance_index, l2_error_mc
+from .evaluation import _mc_design, breslow_survival, concordance_index, l2_error_mc
 from .kernels import NotInSpaceError, constant_norm_squared, kernel_from_json
 from .model_selection import (
     AllFitsFailed,
@@ -401,8 +401,6 @@ def _study_replication(payload: dict) -> dict:
         data, truth = simulate_dataset(dgp, 2 * n, _derive_seed(master, n, rep, 0))
         train, valid = split_train_validation(data, _derive_seed(master, n, rep, 1))
         mc_seed = _derive_seed(master, n, rep, 2)
-        sampler = covariate_sampler(dgp)
-        f0 = truth.f0
 
         externals = []
         thetas = None
@@ -412,27 +410,34 @@ def _study_replication(payload: dict) -> dict:
         care, report, fits = fit_care_path(train, valid, kernel, grid, externals,
                                            thetas, options)
 
-        def l2(predict) -> float:
-            return l2_error_mc(predict, f0, sampler, mc_points, mc_seed)
+        # one Monte-Carlo design per replication: the points, f0 there and the
+        # (points x basis) section matrix that every fit of the path shares,
+        # so each level scores as sections @ beta
+        xs = _mc_design(covariate_sampler(dgp), mc_points, mc_seed)
+        f0_xs = truth.f0(xs)
+        sections = fits[report.gamma_hat]._centred_sections(xs)
+
+        def l2(values) -> float:  # l2_error_mc of values given at that design
+            return l2_error_mc(lambda _: values, lambda _: f0_xs, lambda *_: xs,
+                               mc_points, mc_seed)
 
         converged = [e.gamma for e in report.gamma_entries if e.converged]
-        errors = {g: l2(fits[g].predict_many) for g in converged}
+        errors = {g: l2(sections @ fits[g].beta) for g in converged}
         gamma_star = min(converged, key=lambda g: (errors[g], g))
 
         rows = [
             {"n": n, "rep": rep, "estimator": "cv_kernel",
-             "l2_error": l2(fits[report.gamma_hat].predict_many),
-             "gamma": report.gamma_hat, "theta": ()},
+             "l2_error": errors[report.gamma_hat], "gamma": report.gamma_hat, "theta": ()},
             {"n": n, "rep": rep, "estimator": "oracle_kernel",
              "l2_error": errors[gamma_star], "gamma": gamma_star, "theta": ()},
         ]
         if externals:
             ext = care.externals[0]
             rows.append({"n": n, "rep": rep, "estimator": "care",
-                         "l2_error": l2(care.predict_many),
+                         "l2_error": l2(care.combine(sections @ care.kernel_estimator.beta, xs)),
                          "gamma": care.gamma, "theta": care.theta})
             rows.append({"n": n, "rep": rep, "estimator": "external",
-                         "l2_error": l2(ext.predict_many), "gamma": None, "theta": ()})
+                         "l2_error": l2(ext.predict_many(xs)), "gamma": None, "theta": ()})
         return {"n": n, "rep": rep, "rows": rows, "error": None}
     except Exception as exc:  # replication failures are recorded, not fatal
         return {"n": n, "rep": rep, "rows": [], "error": f"{type(exc).__name__}: {exc}"}

@@ -141,16 +141,20 @@ def concordance_index(predictions, data: SurvivalDataset) -> float:
     return num / den
 
 
+def _mc_design(sampler, n_mc: int, seed: int) -> np.ndarray:
+    """The covariates ``l2_error_mc`` averages over for ``(n_mc, seed)``."""
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    return sampler(n_mc, np.random.Generator(np.random.Philox(key=seed % 2**64)))
+
+
 def l2_error_mc(predict, truth, sampler, n_mc: int, seed: int) -> float:
     """Root mean squared gap between two functions over sampled covariates.
 
     ``sampler(n, rng)`` draws an (n, d) covariate array; both functions are
     vectorised over rows.  Deterministic given the seed.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
-    xs = sampler(n_mc, rng)
+    xs = _mc_design(sampler, n_mc, seed)
     diff = np.asarray(predict(xs), dtype=float) - np.asarray(truth(xs), dtype=float)
     if not np.all(np.isfinite(diff)):
         raise ValueError("functions produced non-finite values")

@@ -334,7 +334,15 @@ class CareEstimator:
     gamma: float
 
     def predict_many(self, xs) -> np.ndarray:
-        out = (1.0 - sum(self.theta)) * self.kernel_estimator.predict_many(xs)
+        return self.combine(self.kernel_estimator.predict_many(xs), xs)
+
+    def combine(self, kernel_values, xs) -> np.ndarray:
+        """The prediction at xs from the kernel estimator's values there.
+
+        A caller that already holds those values, as a study scoring a whole
+        path at shared points does, need not evaluate the kernel again.
+        """
+        out = (1.0 - sum(self.theta)) * kernel_values
         for weight, ext in zip(self.theta, self.externals):
             if weight != 0.0:
                 out = out + weight * ext.predict_many(xs)

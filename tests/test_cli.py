@@ -253,6 +253,34 @@ class TestStudy:
             lo, hi = float(row["ci_low"]), float(row["ci_high"])
             assert lo <= float(row["mean_l2_error"]) <= hi
 
+    def test_one_replication_builds_one_section_matrix_at_its_mc_points(
+            self, tmp_path, monkeypatch):
+        # every fit of the path shares its basis, so the Monte-Carlo points
+        # need one (points x basis) matrix, not one per level and estimator
+        mc_points = 37
+        built = []
+        sections = KernelEstimator._centred_sections
+
+        def counting(self, xs):
+            built.append(len(xs))
+            return sections(self, xs)
+
+        monkeypatch.setattr(KernelEstimator, "_centred_sections", counting)
+        cfg = write_json(tmp_path / "study.json", {
+            "dgp": "univariate",
+            "kernel": {"variant": "sobolev1", "shift": 1.0},
+            "gamma_grid": {"min": 1e-3, "max": 10.0, "count": 5, "geometric": True},
+            "n_values": [30],
+            "replications": 1,
+            "use_external": True,
+            "theta_resolution": 5,
+            "mc_points": mc_points,
+            "seed": 1,
+        })
+        out = str(tmp_path / "study")
+        assert main(["study", "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert built.count(mc_points) == 1
+
     def test_degraded_study_exit_5(self, tmp_path):
         cfg = write_json(tmp_path / "study.json", {
             "dgp": "univariate",
