@@ -23,6 +23,7 @@ import numpy as np
 from .data import (
     DataFormatError,
     SurvivalDataset,
+    _parse_cell,
     load_csv,
     split_train_validation,
     write_csv,
@@ -202,7 +203,8 @@ def _read_prediction_table(path: str, expected: int, name: str) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "prediction" not in reader.fieldnames:
             raise ConfigError(f"{path}: prediction table needs a 'prediction' column")
-        values = [float(row["prediction"]) for row in reader]
+        values = [_parse_cell(row["prediction"], path, i, "prediction")
+                  for i, row in enumerate(reader)]
     if len(values) != expected:
         raise ConfigError(
             f"external {name!r}: table {path} has {len(values)} rows, expected {expected}"

@@ -134,15 +134,16 @@ class SurvivalDataset:
         )
 
 
-def _parse_cell(value: str, row: int, column: str) -> float:
+def _parse_cell(value: str | None, path, row: int, column: str) -> float:
+    """The number in one CSV cell; a short row's missing cell (None) is blank."""
     value = value.strip() if value is not None else ""
     if value == "":
-        raise NonNumericCellError(f"blank cell in column {column!r}, row {row}")
+        raise NonNumericCellError(f"{path}: blank cell in column {column!r}, row {row}")
     try:
         return float(value)
     except ValueError:
         raise NonNumericCellError(
-            f"non-numeric value {value!r} in column {column!r}, row {row}"
+            f"{path}: non-numeric value {value!r} in column {column!r}, row {row}"
         ) from None
 
 
@@ -172,12 +173,12 @@ def load_csv(path, time_column: str = "time", event_column: str = "event",
             raise MissingColumnError(f"{path}: no covariate columns")
         covs, raw_times, censored = [], [], []
         for i, row in enumerate(reader):
-            covs.append([_parse_cell(row[c], i, c) for c in covariate_columns])
-            t = _parse_cell(row[time_column], i, time_column)
+            covs.append([_parse_cell(row[c], path, i, c) for c in covariate_columns])
+            t = _parse_cell(row[time_column], path, i, time_column)
             if t <= 0:
                 raise NonPositiveTimeError(f"{path}: non-positive time in row {i}")
             raw_times.append(t)
-            ev = _parse_cell(row[event_column], i, event_column)
+            ev = _parse_cell(row[event_column], path, i, event_column)
             if ev not in (0.0, 1.0):
                 raise BadEventFlagError(f"{path}: event flag must be 0 or 1 in row {i}")
             censored.append(ev == 0.0)

@@ -319,35 +319,52 @@ def kernel_to_json(config: KernelConfig) -> dict:
     raise TypeError(f"unknown kernel config {type(config).__name__}")
 
 
+# The keys each variant's JSON object allows and requires, besides "variant".
+_JSON_KEYS = {
+    "gaussian": ({"shift", "lengthscales", "sigma"}, set()),
+    "polynomial": ({"degree", "shift"}, {"degree"}),
+    "sobolev1": ({"shift"}, set()),
+    "sobolev2": ({"shift"}, set()),
+    "additive": ({"summands"}, {"summands"}),
+}
+
+
 def kernel_from_json(obj: dict) -> KernelConfig:
+    """The kernel config a JSON object describes; a malformed one raises ValueError.
+
+    Integers (a polynomial degree, a summand's coordinate) are taken as
+    given, never rounded.
+    """
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError("kernel config must be an object with a 'variant' key")
     variant = obj["variant"]
+    if not isinstance(variant, str) or variant not in _JSON_KEYS:
+        raise ValueError(f"unknown kernel variant {variant!r}")
+    allowed, required = _JSON_KEYS[variant]
     keys = set(obj) - {"variant"}
-    if variant == "gaussian":
-        allowed = {"shift", "lengthscales", "sigma"}
-        if not keys <= allowed:
-            raise ValueError(f"unknown kernel keys: {sorted(keys - allowed)}")
-        return GaussianKernel(
-            shift=float(obj.get("shift", 0.0)),
-            lengthscales=tuple(obj["lengthscales"]) if "lengthscales" in obj else None,
-            sigma=tuple(tuple(r) for r in obj["sigma"]) if "sigma" in obj else None,
-        )
-    if variant == "polynomial":
-        if not keys <= {"degree", "shift"}:
-            raise ValueError(f"unknown kernel keys: {sorted(keys - {'degree', 'shift'})}")
-        return PolynomialKernel(degree=int(obj["degree"]), shift=float(obj.get("shift", 0.0)))
-    if variant in ("sobolev1", "sobolev2"):
-        if not keys <= {"shift"}:
-            raise ValueError(f"unknown kernel keys: {sorted(keys - {'shift'})}")
-        cls = Sobolev1Kernel if variant == "sobolev1" else Sobolev2Kernel
-        return cls(shift=float(obj.get("shift", 0.0)))
-    if variant == "additive":
-        if not keys <= {"summands"}:
-            raise ValueError(f"unknown kernel keys: {sorted(keys - {'summands'})}")
-        return AdditiveKernel(
-            summands=tuple(
-                (int(s["coord"]), kernel_from_json(s["kernel"])) for s in obj["summands"]
+    if not keys <= allowed:
+        raise ValueError(f"unknown kernel keys: {sorted(keys - allowed)}")
+    if not required <= keys:
+        raise ValueError(f"{variant} kernel needs keys: {sorted(required - keys)}")
+    try:  # float(None), tuple(5) and the like raise TypeError
+        shift = float(obj.get("shift", 0.0))
+        if variant == "gaussian":
+            return GaussianKernel(
+                shift=shift,
+                lengthscales=tuple(obj["lengthscales"]) if "lengthscales" in obj else None,
+                sigma=tuple(tuple(r) for r in obj["sigma"]) if "sigma" in obj else None,
             )
-        )
-    raise ValueError(f"unknown kernel variant {variant!r}")
+        if variant == "polynomial":
+            return PolynomialKernel(degree=obj["degree"], shift=shift)
+        if variant == "additive":
+            summands = obj["summands"]
+            if not isinstance(summands, list) or not all(
+                    isinstance(s, dict) and set(s) == {"coord", "kernel"} for s in summands):
+                raise ValueError("additive summands must be a list of objects "
+                                 "with the keys 'coord' and 'kernel'")
+            return AdditiveKernel(summands=tuple(
+                (s["coord"], kernel_from_json(s["kernel"])) for s in summands))
+        cls = Sobolev1Kernel if variant == "sobolev1" else Sobolev2Kernel
+        return cls(shift=shift)
+    except TypeError as exc:
+        raise ValueError(f"malformed {variant} kernel config: {exc}") from None

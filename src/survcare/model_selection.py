@@ -14,10 +14,12 @@ per path and each level's predictions once per level, so every block of
 combinations is built directly in the core's sorted (n, block) layout and
 shares one exponential, suffix-sum and log pass, where a per-vector loop
 would repeat that work, and the call overhead, for every weight vector.  The
-report keeps the scan as one (levels x |Theta|) loss array, not as one
-object per (level, point).
+grid is one read-only (|Theta| x M) array, and the report keeps the scan as
+one (levels x |Theta|) loss array next to it, not as one object per (level,
+point).
 
-Ties are broken toward the smallest regularisation value and then the
+The selection is one argmin over that loss array.  Its first minimiser in C
+order breaks ties toward the smallest regularisation value and then the
 lexicographically smallest weight vector, which fixes a total order for the
 selection and makes reruns deterministic.
 """
@@ -43,13 +45,17 @@ from .estimators import (
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
 from .partial_likelihood import (
-    _ROW_BLOCK,
     RepresenterContext,
     _sorted_neg_log_partial_likelihood,
     neg_log_partial_likelihood,
 )
 
 THETA_GRID_LIMIT = 1_000_000
+# Combinations of the theta scan scored per pass of the likelihood core.  Not a
+# power of two: the core runs down columns of an (n, _ROW_BLOCK) block, and at
+# 128 (or 64, 192, 256) its rows sit a power-of-two number of bytes apart, a
+# stride at which the cumulative sum runs about 3x slower.
+_ROW_BLOCK = 120
 # Bound on the sup-norm of external predictors; exceeding it only triggers a
 # warning since the theory assumes boundedness without a value.
 EXTERNAL_SUP_BOUND = 100.0
@@ -85,16 +91,15 @@ class GammaGrid:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaGrid:
     """Finite set of convex weight vectors over the external predictors.
 
-    ``points`` holds each vector as a tuple of floats; ``array`` holds the
-    same values as a read-only (|points|, num_externals) float array.
+    ``points`` is a read-only (|points|, num_externals) float array, one
+    vector per row; the grid keeps its own copy of what it is given.
     """
 
-    points: tuple[tuple[float, ...], ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    points: np.ndarray
 
     def __post_init__(self):
         try:
@@ -106,12 +111,11 @@ class ThetaGrid:
         if not ((pts >= 0).all() and (pts.sum(axis=1) <= 1 + 1e-12).all()):
             raise ValueError("theta points must lie in the simplex")
         pts.flags.writeable = False
-        object.__setattr__(self, "points", tuple(map(tuple, pts.tolist())))
-        object.__setattr__(self, "array", pts)
+        object.__setattr__(self, "points", pts)
 
     @property
     def num_externals(self) -> int:
-        return len(self.points[0])
+        return self.points.shape[1]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -144,12 +148,8 @@ def theta_grid(num_externals: int, resolution: int) -> ThetaGrid:
     return ThetaGrid(parts / resolution)
 
 
-def validation_loss(predicted, valid: SurvivalDataset) -> float | np.ndarray:
-    """Negative log-partial likelihood of predictions on the validation data.
-
-    ``predicted`` is one prediction vector, giving a float, or a (P, n) stack
-    of them, giving the P losses.
-    """
+def validation_loss(predicted, valid: SurvivalDataset) -> float:
+    """Negative log-partial likelihood of one prediction vector on the validation data."""
     return neg_log_partial_likelihood(predicted, valid)
 
 
@@ -189,13 +189,14 @@ class CareEntries(Sequence):
             raise IndexError("care entry index out of range")
         report = self._report
         level, p = divmod(i % size, len(report.care_thetas))
-        return CareEntry(report.care_gammas[level], report.care_thetas[p],
+        return CareEntry(report.care_gammas[level], tuple(report.care_thetas[p].tolist()),
                          float(report.care_losses[level, p]))
 
     def __iter__(self):
         report = self._report
+        thetas = list(map(tuple, report.care_thetas.tolist()))
         for gamma, losses in zip(report.care_gammas, report.care_losses.tolist()):
-            for theta, loss in zip(report.care_thetas, losses):
+            for theta, loss in zip(thetas, losses):
                 yield CareEntry(gamma, theta, loss)
 
 
@@ -205,33 +206,32 @@ class CvReport:
 
     The theta scan is stored as columns: ``care_losses[l, p]`` is the
     validation loss of the combination at ``care_gammas[l]``, the converged
-    levels in ascending order, and ``care_thetas[p]``, the grid's points.
-    Without externals all three are empty.  ``care_entries`` views the scan
-    as one ``CareEntry`` per (level, point).
+    levels in ascending order, and ``care_thetas[p]``, a row of the theta
+    grid's read-only array.  Without externals all three are empty.
+    ``care_entries`` views the scan as one ``CareEntry`` per (level, point).
     """
 
     gamma_entries: list[GammaEntry] = field(default_factory=list)
     care_gammas: tuple[float, ...] = ()
-    care_thetas: tuple[tuple[float, ...], ...] = ()
+    care_thetas: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     care_losses: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     gamma_hat: float | None = None
     gamma_check: float | None = None
     theta_check: tuple[float, ...] | None = None
-    best_theta_per_gamma: dict[float, tuple[float, ...]] = field(default_factory=dict)
 
     @property
     def care_entries(self) -> CareEntries:
         return CareEntries(self)
 
     def to_csv(self, path) -> None:
-        num_theta = len(self.care_thetas[0]) if self.care_losses.size else 0
+        num_theta = self.care_thetas.shape[1] if self.care_losses.size else 0
         theta_cols = [f"theta_{m + 1}" for m in range(num_theta)]
         by_gamma = {e.gamma: e for e in self.gamma_entries}
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma", *theta_cols, "train_loss", "valid_loss", "converged"])
             if self.care_losses.size:
-                theta_cells = [[repr(t) for t in theta] for theta in self.care_thetas]
+                theta_cells = [[repr(t) for t in theta] for theta in self.care_thetas.tolist()]
                 for gamma, losses in zip(self.care_gammas, self.care_losses.tolist()):
                     g = by_gamma[gamma]
                     writer.writerows([
@@ -449,13 +449,10 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
     centred, centred_valid = _centred_externals(externals, train, valid)
     idx = valid.risk_index()
     externals_sorted = centred_valid.T[idx.order]  # n x M, in the core's sorted order
-    theta_mat = thetas.array                       # P x M
+    theta_mat = thetas.points                      # P x M
     kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
     levels = [e.gamma for e in entries if e.converged]  # ascending gamma
     care_losses = np.empty((len(levels), len(thetas)))
-    best_theta_per_gamma: dict[float, tuple[float, ...]] = {}
-    best: tuple[float, tuple[float, ...]] | None = None
-    best_loss = math.inf
     for gamma, losses in zip(levels, care_losses):
         preds_sorted = valid_preds[gamma][idx.order]
         for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
@@ -463,24 +460,18 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
             combos = preds_sorted[:, None] * kernel_weight[cols] + \
                 externals_sorted @ theta_mat[cols].T
             losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
-        # the points are in lexicographic order, so the first minimiser is the
-        # lexicographically smallest
-        p = int(np.argmin(losses))
-        local_best, local_loss = thetas.points[p], float(losses[p])
-        best_theta_per_gamma[gamma] = local_best
-        if local_loss < best_loss:
-            best, best_loss = (gamma, local_best), local_loss
-
-    gamma_check, theta_check = best
+    # levels ascend and the points are in lexicographic order, so the first
+    # minimiser in C order has the smallest gamma, then the smallest theta
+    level, p = divmod(int(np.argmin(care_losses)), len(thetas))
+    gamma_check, theta_check = levels[level], tuple(theta_mat[p].tolist())
     report = CvReport(
         gamma_entries=entries,
         care_gammas=tuple(levels),
-        care_thetas=thetas.points,
+        care_thetas=theta_mat,
         care_losses=care_losses,
         gamma_hat=gamma_hat,
         gamma_check=gamma_check,
         theta_check=theta_check,
-        best_theta_per_gamma=best_theta_per_gamma,
     )
     care = CareEstimator(
         kernel_estimator=fits[gamma_check],

@@ -13,9 +13,11 @@ double and lose precision, or underflow to 0; those risk sums are accumulated
 in log space instead.  The gradient weights switch to log space when a
 reciprocal risk sum overflows.  Both stay accurate and finite however far f
 spreads.  The core works on values already gathered into the sorted order of
-the dataset's risk index, one vector or one per column of an (n, P) matrix;
-``neg_log_partial_likelihood`` gathers and calls it, and a caller that scores
-many combinations of the same vectors gathers those vectors once instead.
+the dataset's risk index, one vector or one per column of an (n, P) matrix.
+``neg_log_partial_likelihood`` scores exactly one vector: it gathers it and
+calls the core.  The theta scan of ``model_selection``, which scores many
+combinations of the same vectors, gathers those vectors once and passes the
+core blocks of combinations instead.
 
 Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
 columns are basis functions evaluated at the training points, and an
@@ -59,11 +61,6 @@ from .kernels import GramMatrix, KernelConfig, constant_norm_squared, gram_matri
 SCHUR_DIAGONAL_REL_TOL = 1e-10
 # Columns per block of the basis factorisation: one matrix product per block.
 _BASIS_BLOCK = 64
-# Rows of a stacked likelihood scored per pass of sort, exp, suffix sum and log.
-# Not a power of two: the core runs down columns of an (n, _ROW_BLOCK) block,
-# and at 128 (or 64, 192, 256) its rows sit a power-of-two number of bytes
-# apart, a stride at which the cumulative sum runs about 3x slower.
-_ROW_BLOCK = 120
 # Smallest normal double: a shifted suffix sum below it carries fewer bits.
 _TINY = np.finfo(float).tiny
 
@@ -113,29 +110,19 @@ def _sorted_neg_log_partial_likelihood(fs: np.ndarray, idx: RiskSetIndex):
     return (_column_sums(log_s) - _column_sums(fs[idx.event_sorted])) / n
 
 
-def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float | np.ndarray:
-    """Exact negative log-partial likelihood of the relative-risk values.
+def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
+    """Exact negative log-partial likelihood of one relative-risk value per record.
 
-    ``fvalues`` holds one value per record and gives a float, or is a (P, n)
-    stack of such vectors and gives the array of its P losses, each
-    bit-identical to the loss of its row alone.  The values are gathered into
-    the dataset's sorted order and scored by the core; a stack goes
-    ``_ROW_BLOCK`` rows per pass, which bounds the temporaries.  All-censored
-    data give 0.0.
+    The values are gathered into the dataset's sorted order and scored by the
+    core.  All-censored data give 0.0.
     """
     fvalues = np.asarray(fvalues, dtype=float)
-    if fvalues.ndim not in (1, 2) or fvalues.shape[-1] != len(data):
+    if fvalues.shape != (len(data),):
         raise ValueError(f"expected {len(data)} relative-risk values")
     if not np.all(np.isfinite(fvalues)):
         raise ValueError("relative-risk values must be finite")
     idx = data.risk_index()
-    if fvalues.ndim == 1:
-        return float(_sorted_neg_log_partial_likelihood(fvalues[idx.order], idx))
-    losses = np.empty(fvalues.shape[0])
-    for start in range(0, fvalues.shape[0], _ROW_BLOCK):
-        block = np.ascontiguousarray(fvalues[start:start + _ROW_BLOCK].T)[idx.order]
-        losses[start:start + _ROW_BLOCK] = _sorted_neg_log_partial_likelihood(block, idx)
-    return losses
+    return float(_sorted_neg_log_partial_likelihood(fvalues[idx.order], idx))
 
 
 def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:

@@ -202,6 +202,61 @@ class TestCare:
                      "--config", path, "--out", str(tmp_path / "z")]) == 2
 
 
+MALFORMED_KERNELS = {
+    "polynomial_without_degree": {"variant": "polynomial"},
+    "fractional_degree": {"variant": "polynomial", "degree": 2.5},
+    "summand_without_kernel": {"variant": "additive", "summands": [{"coord": 0}]},
+    "summands_not_a_list": {"variant": "additive", "summands": "x"},
+}
+
+
+class TestKernelConfig:
+    @staticmethod
+    def command_line(command, kernel, data, tmp_path):
+        """The arguments of one command whose config carries ``kernel``."""
+        grid = {"min": 1e-2, "max": 1.0, "count": 3}
+        configs = {
+            "fit": {"kernel": kernel, "gamma": 0.1},
+            "cv": {"kernel": kernel, "gamma_grid": grid},
+            "care": {"kernel": kernel, "gamma_grid": grid,
+                     "externals": [{"builtin": "univariate_perturbed"}]},
+            "study": {"dgp": "univariate", "kernel": kernel, "gamma_grid": grid,
+                      "n_values": [20], "replications": 1, "mc_points": 50},
+        }
+        inputs = {"fit": [data], "cv": [data, data], "care": [data, data], "study": []}
+        cfg = write_json(tmp_path / f"{command}.json", configs[command])
+        return [command, *inputs[command], "--config", cfg, "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("kernel", MALFORMED_KERNELS.values(), ids=MALFORMED_KERNELS)
+    @pytest.mark.parametrize("command", ["fit", "cv", "care", "study"])
+    def test_malformed_kernel_exit_2(self, tmp_path, simulated, capsys, command, kernel):
+        args = self.command_line(command, kernel, f"{simulated}_data.csv", tmp_path)
+        assert main(args) == 2
+        assert "error: invalid kernel config: " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out_estimator.json")
+
+
+class TestPredictionTables:
+    @pytest.mark.parametrize("body, message", [
+        ("row,prediction\n0,0.5\n1\n2,0.5\n", "blank cell in column 'prediction', row 1"),
+        ("prediction\n0.5\n0.5\nabc\n", "non-numeric value 'abc' in column 'prediction', row 2"),
+    ], ids=["short_row", "non_numeric"])
+    @pytest.mark.parametrize("command", ["evaluate", "care"])
+    def test_bad_cell_exit_2_names_the_file_and_row(self, tmp_path, simulated, capsys,
+                                                     command, body, message):
+        table = tmp_path / "table.csv"
+        table.write_text(body, encoding="utf-8")
+        data = f"{simulated}_data.csv"
+        if command == "evaluate":
+            args = ["evaluate", data, "--predictions", str(table)]
+        else:
+            cfg = dict(CV_CONFIG, externals=[{"name": "tab", "train_table": str(table),
+                                              "valid_table": str(table)}])
+            args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {table}: {message}\n" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_breslow_and_concordance(self, tmp_path, simulated):
         data = load_csv(f"{simulated}_data.csv")

