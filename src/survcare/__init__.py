@@ -32,7 +32,6 @@ from .evaluation import (
 from .kernels import (
     AdditiveKernel,
     GaussianKernel,
-    GramMatrix,
     KernelConfig,
     NotInSpaceError,
     PolynomialKernel,

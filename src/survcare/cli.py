@@ -198,7 +198,8 @@ def _optimizer(obj: dict | None) -> OptimOptions:
     return OptimOptions(**obj) if obj else OptimOptions()
 
 
-def _read_prediction_table(path: str, expected: int, name: str) -> np.ndarray:
+def _read_prediction_table(path: str, expected: int, label: str) -> np.ndarray:
+    """The 'prediction' column of the CSV at ``path``; ``label`` names the table."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "prediction" not in reader.fieldnames:
@@ -206,9 +207,7 @@ def _read_prediction_table(path: str, expected: int, name: str) -> np.ndarray:
         values = [_parse_cell(row["prediction"], path, i, "prediction")
                   for i, row in enumerate(reader)]
     if len(values) != expected:
-        raise ConfigError(
-            f"external {name!r}: table {path} has {len(values)} rows, expected {expected}"
-        )
+        raise ConfigError(f"{label} {path} has {len(values)} rows, expected {expected}")
     return np.asarray(values)
 
 
@@ -227,10 +226,11 @@ def _externals_from_config(specs: list[dict], train: SurvivalDataset,
             out.append(ExternalSpec(
                 name=name, fn=lambda xs, dgp=dgp: external_predictor(dgp, xs)))
         else:
+            label = f"external {spec['name']!r}: table"
             out.append(ExternalSpec(
                 name=spec["name"],
-                train_values=_read_prediction_table(spec["train_table"], len(train), spec["name"]),
-                valid_values=_read_prediction_table(spec["valid_table"], len(valid), spec["name"]),
+                train_values=_read_prediction_table(spec["train_table"], len(train), label),
+                valid_values=_read_prediction_table(spec["valid_table"], len(valid), label),
             ))
     return out
 
@@ -368,7 +368,7 @@ def cmd_evaluate(args) -> int:
     outputs = {"breslow": breslow_path}
     metrics = {}
     if args.predictions:
-        preds = _read_prediction_table(args.predictions, len(data), "predictions")
+        preds = _read_prediction_table(args.predictions, len(data), "prediction table")
         metrics["concordance"] = concordance_index(preds, data)
         metrics_path = f"{args.out}_metrics.json"
         write_json(metrics_path, metrics)

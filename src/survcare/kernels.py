@@ -9,10 +9,12 @@ Supported kernel families on real vectors:
 * additive sums of one-dimensional kernels applied to selected coordinates
 
 Kernels are evaluated in vectorised form only: ``cross_matrix`` between two
-point sets and ``gram_matrix`` over one.  The Gaussian kernel takes the rows
-of the first set in blocks whose coordinate differences hold at most
-``_DIFF_BLOCK`` doubles (or one row's worth), so its cross matrix needs little
-more memory than the output.  ``constant_norm_squared`` gives the squared
+point sets and ``gram_matrix`` over one.  A Gram matrix is a plain read-only
+array, symmetric bit for bit because every family computes k(x, y) and
+k(y, x) by the same operations.  The Gaussian kernel takes the rows of the
+first set in blocks whose coordinate differences hold at most ``_DIFF_BLOCK``
+doubles (or one row's worth), so its cross matrix needs little more memory
+than the output.  ``constant_norm_squared`` gives the squared
 Hilbert norm of the constant function in closed form, which the centred
 penalty needs, and ``kernel_to_json``/``kernel_from_json`` are the
 configuration wire format.  All configurations are immutable and all
@@ -151,30 +153,9 @@ KernelConfig = GaussianKernel | PolynomialKernel | Sobolev1Kernel | Sobolev2Kern
 
 
 def _check_shift(a) -> None:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a >= 0):
-        raise ValueError("shift must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix of pairwise kernel values over a point set."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        scale = max(1.0, float(np.abs(e).max()))
-        if np.abs(e - e.T).max() > 1e-10 * scale:
-            raise ValueError("Gram matrix must be symmetric")
-        e = 0.5 * (e + e.T)
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    # bool is an int subclass, but True is no shift
+    if isinstance(a, bool) or not (isinstance(a, (int, float)) and math.isfinite(a) and a >= 0):
+        raise ValueError(f"shift must be a finite non-negative number, got {a!r}")
 
 
 def _as_points(points, expected_dim=None) -> np.ndarray:
@@ -254,9 +235,12 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
     raise TypeError(f"unknown kernel config {type(config).__name__}")
 
 
-def gram_matrix(config: KernelConfig, points) -> GramMatrix:
+def gram_matrix(config: KernelConfig, points) -> np.ndarray:
+    """The read-only, bitwise symmetric matrix of k over every pair of ``points``."""
     pts = _as_points(points)
-    return GramMatrix(cross_matrix(config, pts, pts))
+    k = cross_matrix(config, pts, pts)
+    k.flags.writeable = False
+    return k
 
 
 def subtractable_shift(config: KernelConfig) -> float:
@@ -333,7 +317,8 @@ def kernel_from_json(obj: dict) -> KernelConfig:
     """The kernel config a JSON object describes; a malformed one raises ValueError.
 
     Integers (a polynomial degree, a summand's coordinate) are taken as
-    given, never rounded.
+    given, never rounded.  A shift must be a number, not a string or a
+    boolean, and is stored as a float.
     """
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError("kernel config must be an object with a 'variant' key")
@@ -346,8 +331,10 @@ def kernel_from_json(obj: dict) -> KernelConfig:
         raise ValueError(f"unknown kernel keys: {sorted(keys - allowed)}")
     if not required <= keys:
         raise ValueError(f"{variant} kernel needs keys: {sorted(required - keys)}")
-    try:  # float(None), tuple(5) and the like raise TypeError
-        shift = float(obj.get("shift", 0.0))
+    shift = obj.get("shift", 0.0)
+    _check_shift(shift)  # before float(), which would take "1.5" or true
+    shift = float(shift)
+    try:  # tuple(5) and the like raise TypeError
         if variant == "gaussian":
             return GaussianKernel(
                 shift=shift,

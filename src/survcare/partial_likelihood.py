@@ -41,9 +41,10 @@ the columns before them: a column-skipping Cholesky factorisation accepts the
 constant, then each point whose Schur-complement diagonal, the squared
 Hilbert distance of k(., X_j) from the span of the constant and the sections
 accepted before it, exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest
-bordered entry.  Centring that factor gives R for khat without forming khat,
-whose formula loses digits to cancellation when khat is far smaller than the
-Gram entries.
+bordered entry.  The factorisation reads the Gram matrix in place and never
+forms the (n+1) x (n+1) bordered matrix.  Centring that factor gives R for
+khat without forming khat, whose formula loses digits to cancellation when
+khat is far smaller than the Gram entries.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RiskSetIndex, SurvivalDataset
-from .kernels import GramMatrix, KernelConfig, constant_norm_squared, gram_matrix
+from .kernels import KernelConfig, constant_norm_squared, gram_matrix
 
 # A training point joins the representer basis when the Schur-complement
 # diagonal of its bordered column, given the columns accepted before it,
@@ -162,50 +163,56 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
     """The representer basis and the Cholesky factor of its bordered Gram matrix.
 
     The (n+1) x (n+1) bordered matrix, with top-left ``constant_norm_sq``, a
-    border of ones and the Gram matrix as the body, is the Hilbert-space Gram
-    matrix of (1, k(., X_1), ..., k(., X_n)), so it is positive semi-definite.
-    Its leftmost linearly independent columns are found by a left-looking
-    Cholesky factorisation that skips columns.  It always accepts the
-    constant's column, whose diagonal is ``constant_norm_sq`` > 0; a point's
-    column j is accepted when its Schur-complement diagonal given the
-    accepted columns before it (the squared distance of its function from
-    their span) exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of
-    the bordered matrix, and skipped otherwise.  Blocks of columns take their
-    Schur complement with one matrix product against the factor so far;
-    within a block each accepted column updates only the block's later
-    columns.  Returns (basis, lower): the accepted training indices (the
-    constant's column excluded), sorted ascending and 0-based, and the
-    (m+1) x (m+1) lower-triangular factor with lower @ lower.T the bordered
-    matrix over the accepted columns, the constant's first.
+    border of ones and the Gram matrix ``gram`` as the body, is the
+    Hilbert-space Gram matrix of (1, k(., X_1), ..., k(., X_n)), so it is
+    positive semi-definite.  Its leftmost linearly independent columns are
+    found by a left-looking Cholesky factorisation that skips columns.  It
+    always accepts the constant's column, whose diagonal is
+    ``constant_norm_sq`` > 0; a point's column j is accepted when its
+    Schur-complement diagonal given the accepted columns before it (the
+    squared distance of its function from their span) exceeds
+    ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of the bordered
+    matrix, and skipped otherwise.  Blocks of columns take their Schur
+    complement with one matrix product against the factor so far; within a
+    block each accepted column updates only the block's later columns.  The
+    bordered matrix is never formed: the constant's column is factored
+    first, on its own, and every block of points reads ``gram`` in place.
+    Returns (basis, lower): the accepted training indices (the constant's
+    column excluded), sorted ascending and 0-based, and the (m+1) x (m+1)
+    lower-triangular factor, a view of the working array, with lower @
+    lower.T the bordered matrix over the accepted columns, the constant's
+    first.
     """
-    k = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=float)
+    k = np.asarray(gram, dtype=float)
     if constant_norm_sq <= 0:
         raise ValueError("constant_norm_sq must be positive")
     n = k.shape[0]
-    bordered = np.empty((n + 1, n + 1))
-    bordered[0, 0] = constant_norm_sq
-    bordered[0, 1:] = 1.0
-    bordered[1:, 0] = 1.0
-    bordered[1:, 1:] = k
-    tol = SCHUR_DIAGONAL_REL_TOL * max(float(np.abs(bordered).max()), np.finfo(float).tiny)
-    # column r holds the r-th accepted column of the factor; rows above its
-    # own index are never read
+    tol = SCHUR_DIAGONAL_REL_TOL * float(max(k.max(), -k.min(), 1.0, constant_norm_sq))
+    # row i holds bordered column i's factor row, column r the r-th accepted
+    # column of the factor; rows above a column's own index are never read.
+    # The constant's column (constant_norm_sq, 1, ..., 1) is always accepted
     factor = np.zeros((n + 1, n + 1))
-    accepted: list[int] = []
-    for start in range(0, n + 1, _BASIS_BLOCK):
-        stop = min(start + _BASIS_BLOCK, n + 1)
+    factor[0, 0], factor[1:, 0] = constant_norm_sq, 1.0
+    factor[:, 0] /= np.sqrt(constant_norm_sq)
+    accepted = [0]
+    for block in range(0, n + 1, _BASIS_BLOCK):
+        start, stop = max(block, 1), min(block + _BASIS_BLOCK, n + 1)
         r = len(accepted)
-        schur = bordered[start:, start:stop] - factor[start:, :r] @ factor[start:stop, :r].T
+        schur = k[start - 1:, start - 1:stop - 1] - factor[start:, :r] @ factor[start:stop, :r].T
         for c in range(stop - start):
             diag = schur[c, c]
-            if not (diag > tol or start + c == 0):
+            if not diag > tol:
                 continue
             col = schur[c:, c] / np.sqrt(diag)
             factor[start + c:, len(accepted)] = col
             accepted.append(start + c)
             schur[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:stop - start - c]
+    # gather the accepted rows in place: row accepted[r] >= r is read before
+    # any later step writes it
+    for r, row in enumerate(accepted):
+        factor[r] = factor[row]
     basis = np.array(accepted[1:], dtype=int) - 1
-    return basis, factor[accepted, :len(accepted)]
+    return basis, factor[:len(accepted), :len(accepted)]
 
 
 @dataclass
@@ -252,7 +259,9 @@ class PenalisedProblem:
         curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
         curvature = np.maximum(curvature, 0.0)
         prec_design = whitened @ rot
+        del whitened
         to_beta = factor_inv @ rot
+        del factor_inv
         from_beta = rot.T @ factor
         arrays = (design, prec_design, curvature, to_beta, from_beta)
         for arr in arrays:
@@ -283,16 +292,15 @@ class RepresenterContext(PenalisedProblem):
     def build(cls, dataset: SurvivalDataset, kernel: KernelConfig) -> "RepresenterContext":
         gram = gram_matrix(kernel, dataset.covariates)
         basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
-        k = gram.entries
-        kbar = k.mean(axis=0)
+        kbar = gram.mean(axis=0)
         kb = kbar[basis]
         # the centred sections are (1, k(., X_A)) T with T = [-kb'; I], so
         # khat = T' lower lower' T = R'R for the R of a QR of lower' T; lower,
         # its centred copy and the Gram are freed before whitening allocates
         factor = np.linalg.qr(lower[1:].T - np.outer(lower[0], kb), mode="r")
         del lower
-        ktilde = k[:, basis] - kb[None, :]
-        del gram, k
+        ktilde = gram[:, basis] - kb[None, :]
+        del gram
         basis.flags.writeable = False
         kbar.flags.writeable = False
         return cls.precondition(dataset, ktilde, factor, basis=basis, kbar=kbar)

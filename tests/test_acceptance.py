@@ -218,7 +218,7 @@ def test_criterion_5_closed_form_constants():
         kappa_by_size = {}
         for size in (20, 80):
             kappa_by_size[size] = min(
-                kappa_matrix(sc.gram_matrix(kernel, sampler(size)).entries)
+                kappa_matrix(sc.gram_matrix(kernel, sampler(size)))
                 for _ in range(5))
         # the infimum over point sets behaves as target + c/size; extrapolate
         # the size -> infinity limit from the two sampled sizes

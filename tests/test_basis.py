@@ -11,6 +11,8 @@ both fits converge, the fits over the two bases agree: the penalised
 objectives to a relative 1e-8 and the training fitted values to 1e-6.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -85,8 +87,7 @@ def basis_problems(draw):
 
 def oracle_context(monkeypatch, data, kernel) -> RepresenterContext:
     with monkeypatch.context() as m:
-        m.setattr(partial_likelihood, "build_representer_basis",
-                  lambda gram, cns: rref_basis_and_factor(gram.entries, cns))
+        m.setattr(partial_likelihood, "build_representer_basis", rref_basis_and_factor)
         return RepresenterContext.build(data, kernel)
 
 
@@ -107,7 +108,7 @@ def check_against_oracle(monkeypatch, kernel, data):
             a, b = getattr(ctx, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
         return
-    bordered = bordered_matrix(gram_matrix(kernel, data.covariates).entries,
+    bordered = bordered_matrix(gram_matrix(kernel, data.covariates),
                                constant_norm_squared(kernel))
     accepted = np.concatenate(([0], ctx.basis + 1))
     residual = schur_diagonals(bordered, accepted, np.arange(len(data) + 1))
@@ -147,7 +148,7 @@ def test_penalty_factor_is_exact(problem):
     ctx = RepresenterContext.build(data, kernel)
     assert np.all(np.isfinite(ctx.to_beta))
     if ctx.basis_size:
-        gram = gram_matrix(kernel, data.covariates).entries
+        gram = gram_matrix(kernel, data.covariates)
         cns = constant_norm_squared(kernel)
         khat = khat_matrix(gram, cns, ctx.basis)
         gap = np.abs(ctx.from_beta.T @ ctx.from_beta - khat).max()
@@ -162,7 +163,7 @@ def test_empty_basis_at_origin():
     gram = gram_matrix(kernel, [[0.0]])
     cns = constant_norm_squared(kernel)
     assert build_representer_basis(gram, cns)[0].size == 0
-    assert rref_basis(gram.entries, cns).size == 0
+    assert rref_basis(gram, cns).size == 0
 
 
 @pytest.mark.parametrize("kernel, dim, rank", [
@@ -177,7 +178,7 @@ def test_polynomial_rank_is_feature_count(kernel, dim, rank):
     cns = constant_norm_squared(kernel)
     basis = build_representer_basis(gram, cns)[0]
     assert basis.size == rank - 1
-    np.testing.assert_array_equal(basis, rref_basis(gram.entries, cns))
+    np.testing.assert_array_equal(basis, rref_basis(gram, cns))
 
 
 def test_duplicates_keep_first_occurrence():
@@ -188,4 +189,37 @@ def test_duplicates_keep_first_occurrence():
     cns = constant_norm_squared(kernel)
     basis = build_representer_basis(gram, cns)[0]
     np.testing.assert_array_equal(basis, np.arange(100))
-    np.testing.assert_array_equal(basis, rref_basis(gram.entries, cns))
+    np.testing.assert_array_equal(basis, rref_basis(gram, cns))
+
+
+@pytest.mark.parametrize("kernel", [Sobolev1Kernel(shift=1.0), Sobolev2Kernel(shift=0.5),
+                                    GaussianKernel(shift=1.0, lengthscales=(1.0,))])
+def test_factor_over_many_blocks(kernel):
+    # 600 points span ten column blocks; Sobolev-1 accepts every point,
+    # Sobolev-2 and the Gaussian skip points between accepted ones, so the
+    # accepted rows are gathered from across the working factor
+    gram = gram_matrix(kernel, np.random.default_rng(1).uniform(0.0, 1.0, (600, 1)))
+    cns = constant_norm_squared(kernel)
+    basis, lower = build_representer_basis(gram, cns)
+    accepted = np.concatenate(([0], basis + 1))
+    bordered = bordered_matrix(gram, cns)[np.ix_(accepted, accepted)]
+    assert np.array_equal(lower, np.tril(lower))
+    assert np.abs(lower @ lower.T - bordered).max() <= 1e-12 * np.abs(bordered).max()
+
+
+@pytest.mark.parametrize("kernel", [Sobolev1Kernel(shift=1.0),
+                                    GaussianKernel(shift=1.0, lengthscales=(1.0,))],
+                         ids=["every_point", "few_points"])
+def test_selector_memory_is_one_working_factor(kernel):
+    # above its input Gram, the selector holds the (n+1)^2 working factor and
+    # a few column blocks; a bordered copy of the Gram, or a copy of the
+    # factor's accepted rows, would each add up to another (n+1)^2
+    n = 600
+    gram = gram_matrix(kernel, np.random.default_rng(0).uniform(0.0, 1.0, (n, 1)))
+    tracemalloc.start()
+    try:
+        build_representer_basis(gram, constant_norm_squared(kernel))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (n + 1) ** 2 * 8

@@ -207,6 +207,8 @@ MALFORMED_KERNELS = {
     "fractional_degree": {"variant": "polynomial", "degree": 2.5},
     "summand_without_kernel": {"variant": "additive", "summands": [{"coord": 0}]},
     "summands_not_a_list": {"variant": "additive", "summands": "x"},
+    "string_shift": {"variant": "sobolev1", "shift": "1.5"},
+    "boolean_shift": {"variant": "sobolev1", "shift": True},
 }
 
 
@@ -235,6 +237,12 @@ class TestKernelConfig:
         assert "error: invalid kernel config: " in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out_estimator.json")
 
+    def test_integer_shift_is_written_as_a_float(self, tmp_path, simulated):
+        kernel = {"variant": "sobolev1", "shift": 1}
+        assert main(self.command_line("fit", kernel, f"{simulated}_data.csv", tmp_path)) == 0
+        with open(tmp_path / "out_estimator.json", encoding="utf-8") as fh:
+            assert '"shift": 1.0' in fh.read()
+
 
 class TestPredictionTables:
     @pytest.mark.parametrize("body, message", [
@@ -255,6 +263,25 @@ class TestPredictionTables:
             args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
         assert main([*args, "--out", str(tmp_path / "out")]) == 2
         assert f"error: {table}: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, label", [
+        ("evaluate", "prediction table"),
+        ("care", "external 'tab': table"),
+    ])
+    def test_row_count_mismatch_exit_2_names_the_table(self, tmp_path, simulated, capsys,
+                                                       command, label):
+        table = tmp_path / "table.csv"
+        table.write_text("prediction\n0.5\n0.5\n", encoding="utf-8")
+        data = f"{simulated}_data.csv"
+        if command == "evaluate":
+            args = ["evaluate", data, "--predictions", str(table)]
+        else:
+            cfg = dict(CV_CONFIG, externals=[{"name": "tab", "train_table": str(table),
+                                              "valid_table": str(table)}])
+            args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
+        assert main([*args, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {label} {table} has 2 rows, expected 60\n" in err
 
 
 class TestEvaluate:

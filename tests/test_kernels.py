@@ -119,16 +119,30 @@ class TestEvalKernel:
 class TestGramMatrix:
     def test_sobolev1_minimum_entries(self):
         g = gram_matrix(Sobolev1Kernel(shift=0.0), [[0.0], [1.0]])
-        np.testing.assert_allclose(g.entries, [[0.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(g, [[0.0, 0.0], [0.0, 1.0]])
 
     def test_single_point(self):
         g = gram_matrix(GaussianKernel(shift=2.0, lengthscales=(1.0,)), [[0.4]])
-        assert g.entries.shape == (1, 1)
-        assert g.entries[0, 0] == pytest.approx(3.0)
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(3.0)
 
     def test_polynomial_example(self):
         g = gram_matrix(PolynomialKernel(degree=1, shift=1.0), [[1.0], [2.0]])
-        np.testing.assert_allclose(g.entries, [[2.0, 3.0], [3.0, 5.0]])
+        np.testing.assert_allclose(g, [[2.0, 3.0], [3.0, 5.0]])
+
+    @pytest.mark.parametrize("config, dim", [(c, None) for c in ALL_VARIANTS] + [
+        (GaussianKernel(shift=0.5, sigma=tuple(map(tuple, np.eye(10) + 0.1))), None),
+        (PolynomialKernel(degree=3, shift=1.0), 10),
+    ])
+    @pytest.mark.parametrize("n", [7, 200, 801])
+    def test_bitwise_symmetric_and_read_only(self, config, dim, n):
+        # nothing symmetrises the Gram after the kernel evaluates it; n=801
+        # spans several Gaussian row blocks and basis-selection blocks
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1.0, 1.0, (n, dim)) if dim else _points_for(config, n, rng)
+        k = gram_matrix(config, pts)
+        assert np.array_equal(k, k.T)
+        assert not k.flags.writeable
 
     @pytest.mark.parametrize("config", ALL_VARIANTS)
     def test_positive_semidefinite(self, config):
@@ -138,7 +152,7 @@ class TestGramMatrix:
         shift = subtractable_shift(config)
         for _ in range(100):
             pts = _points_for(config, int(rng.integers(2, 21)), rng)
-            k = gram_matrix(config, pts).entries
+            k = gram_matrix(config, pts)
             assert k.diagonal().min() >= shift - 1e-12
             evals = np.linalg.eigvalsh(k)
             op_norm = max(abs(evals[0]), abs(evals[-1]))
@@ -221,7 +235,7 @@ class TestConstantNorm:
         for _ in range(50):
             pts = rng.uniform(0.0, 1.0, (30, 10))
             pts[0] = pts[0] * 1e-4  # near-origin point sharpens the infimum
-            kappas.append(kappa_matrix(gram_matrix(config, pts).entries))
+            kappas.append(kappa_matrix(gram_matrix(config, pts)))
         inf_kappa = min(kappas)
         assert inf_kappa >= 1.0 - 1e-9
         assert inf_kappa == pytest.approx(1.0, abs=1e-3)
@@ -245,7 +259,7 @@ class TestConstantNorm:
                 else:
                     pts = rng.uniform(0.0, 1.0, (size, 1))
                     pts[0] = 0.0
-                best = min(best, kappa_matrix(gram_matrix(config, pts).entries))
+                best = min(best, kappa_matrix(gram_matrix(config, pts)))
             assert best >= target - 1e-6
             gaps.append(best - target)
         assert gaps[2] <= gaps[0] + 1e-9
@@ -335,6 +349,17 @@ class TestJson:
         parsed = kernel_from_json(
             {"variant": "gaussian", "lengthscales": [1.0, 2.0], "shift": 0.5})
         assert parsed == GaussianKernel(shift=0.5, lengthscales=(1.0, 2.0))
+
+    @pytest.mark.parametrize("shift", ["1.5", True, False, None])
+    def test_shift_must_be_a_number(self, shift):
+        with pytest.raises(ValueError, match="shift must be"):
+            kernel_from_json({"variant": "sobolev1", "shift": shift})
+        with pytest.raises(ValueError, match="shift must be"):
+            Sobolev1Kernel(shift=shift)
+
+    def test_integer_shift_becomes_a_float(self):
+        shift = kernel_to_json(kernel_from_json({"variant": "sobolev1", "shift": 1}))["shift"]
+        assert type(shift) is float and shift == 1.0
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):

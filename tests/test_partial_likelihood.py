@@ -42,7 +42,7 @@ def bordered_norm_oracle(ctx, kernel, beta):
     its norm is the bordered Gram matrix's quadratic form in
     (-kbar_A' beta, beta), with the Gram matrix formed afresh.
     """
-    gram = gram_matrix(kernel, ctx.dataset.covariates).entries
+    gram = gram_matrix(kernel, ctx.dataset.covariates)
     sub = bordered_matrix(gram[np.ix_(ctx.basis, ctx.basis)], constant_norm_squared(kernel))
     delta = np.concatenate(([-float(gram.mean(axis=0)[ctx.basis] @ beta)], beta))
     return float(delta @ sub @ delta)
@@ -50,7 +50,7 @@ def bordered_norm_oracle(ctx, kernel, beta):
 
 def khat_reference(ctx, kernel):
     """khat over the context's basis by its formula, from a fresh Gram matrix."""
-    gram = gram_matrix(kernel, ctx.dataset.covariates).entries
+    gram = gram_matrix(kernel, ctx.dataset.covariates)
     return khat_matrix(gram, constant_norm_squared(kernel), ctx.basis)
 
 
@@ -235,7 +235,7 @@ class TestRepresenterBasis:
         gram = gram_matrix(sob1, small_dataset.covariates)
         cns = constant_norm_squared(sob1)
         basis = build_representer_basis(gram, cns)[0]
-        bordered = bordered_matrix(gram.entries, cns)
+        bordered = bordered_matrix(gram, cns)
         assert len(basis) + 1 == np.linalg.matrix_rank(bordered, tol=1e-8)
 
     def test_rref_pivots_simple(self):
