@@ -25,6 +25,7 @@ from .data import (
     SurvivalDataset,
     _parse_cell,
     load_csv,
+    open_output,
     split_train_validation,
     write_csv,
     write_json,
@@ -180,11 +181,17 @@ def _load_config(path: str, command: str) -> dict:
 
 
 def _gamma_grid(obj: dict) -> GammaGrid:
-    if "values" in obj:
-        return GammaGrid(tuple(sorted(obj["values"])))
-    if obj.get("geometric", True):
-        return GammaGrid.geometric(obj["min"], obj["max"], obj["count"])
-    return GammaGrid(tuple(np.linspace(obj["min"], obj["max"], obj["count"])))
+    # float() and numpy raise OverflowError on a JSON integer beyond the
+    # double range, in a value, a bound or the count
+    try:
+        if "values" in obj:
+            return GammaGrid(tuple(sorted(obj["values"])))
+        low, high = float(obj["min"]), float(obj["max"])
+        if obj.get("geometric", True):
+            return GammaGrid.geometric(low, high, obj["count"])
+        return GammaGrid(tuple(np.linspace(low, high, obj["count"])))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid gamma_grid config: {exc}") from None
 
 
 def _kernel(obj: dict):
@@ -195,7 +202,10 @@ def _kernel(obj: dict):
 
 
 def _optimizer(obj: dict | None) -> OptimOptions:
-    return OptimOptions(**obj) if obj else OptimOptions()
+    try:
+        return OptimOptions(**obj) if obj else OptimOptions()
+    except ValueError as exc:
+        raise ConfigError(f"invalid optimizer config: {exc}") from None
 
 
 def _read_prediction_table(path: str, expected: int, label: str) -> np.ndarray:
@@ -245,7 +255,7 @@ def _emit(quiet: bool, human: list[str], machine: dict) -> None:
 
 def _write_predictions(path, sections) -> None:
     """sections: iterable of (role, values)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["role", "row", "prediction"])
         for role, values in sections:
@@ -261,7 +271,7 @@ def cmd_simulate(args) -> int:
     data_path = f"{args.out}_data.csv"
     truth_path = f"{args.out}_truth.csv"
     write_csv(dataset, data_path)
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(truth_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(dataset.dimension)] + ["f0"])
         f0 = true_f0(dgp, dataset.covariates)
@@ -496,7 +506,7 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     rows.sort(key=lambda r: (r["n"], r["rep"], ESTIMATOR_ORDER[r["estimator"]]))
 
     results_path = f"{out_prefix}_results.csv"
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(results_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "rep", "estimator", "l2_error", "gamma", "theta"])
         for r in rows:
@@ -510,7 +520,7 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     groups: dict[tuple[int, str], list[float]] = {}
     for r in rows:
         groups.setdefault((r["n"], r["estimator"]), []).append(r["l2_error"])
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(summary_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "estimator", "n_rep", "mean_l2_error", "sd_l2_error",
                          "ci_low", "ci_high"])

@@ -7,12 +7,25 @@ event corresponds to ``censored = False``.
 
 Observed times are normalised to (0, 1] by dividing by the maximum time in
 the file; ``time_scale`` records the divisor so files round-trip exactly.
+
+Every file the package writes is opened by ``open_output``, which overwrites
+it in place: it opens without truncating, writes from the start, and cuts a
+regular file to the bytes written when it closes.  The file keeps its inode,
+so a symlink is written through, hard links stay shared and a read-only file
+is refused; a non-regular path such as ``/dev/null`` is written and never
+truncated.  Nothing is fsynced.  Opening with truncation instead blocks in
+the truncate for tens of milliseconds on filesystems that discard freed
+blocks (ext4 mounted with ``discard``), against well under a millisecond for
+the write itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +200,29 @@ def load_csv(path, time_column: str = "time", event_column: str = "event",
     return SurvivalDataset.from_raw_times(np.asarray(covs), np.asarray(raw_times), censored)
 
 
+@contextlib.contextmanager
+def open_output(path, newline=None):
+    """A UTF-8 text file at ``path``, overwritten in place (see the module docstring).
+
+    ``newline`` is passed to ``open``; on exit a regular file is truncated at
+    the final position, so no byte of longer earlier content survives.
+    """
+    fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              newline=newline, encoding="utf-8")
+    try:
+        yield fh
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+        finally:
+            fh.close()
+
+
 def write_csv(dataset: SurvivalDataset, path) -> None:
     """Write a dataset with de-normalised times plus a JSON metadata sidecar."""
     d = dataset.dimension
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(d)] + ["time", "event"])
         for i in range(len(dataset)):
@@ -203,7 +235,7 @@ def write_csv(dataset: SurvivalDataset, path) -> None:
 
 def write_json(path, obj) -> None:
     """Write ``obj`` as JSON indented by 2, with a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 

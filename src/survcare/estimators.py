@@ -13,6 +13,7 @@ mean subtracted, as the convex aggregation of ``model_selection`` builds it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -104,8 +105,8 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     Returns the result in theta coordinates, with the gradient norm and the
     convergence flag of the penalised gradient, and the fit's warning if any.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     train = problem.dataset
     m = problem.design.shape[1]
     init = np.zeros(m) if warm is None else np.asarray(warm, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, open_output
 
 
 class NoComparablePairsError(ValueError):
@@ -61,7 +61,7 @@ class StepSurvival:
         return float(self.evaluate_many(np.asarray([t]))[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "survival"])
             writer.writerow(["0.0", "1.0"])

@@ -23,7 +23,7 @@ operations are pure, so they can be evaluated concurrently.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +59,12 @@ class GaussianKernel:
         if (self.lengthscales is None) == (self.sigma is None):
             raise ValueError("give exactly one of lengthscales or sigma")
         if self.lengthscales is not None:
-            ls = np.asarray(self.lengthscales, dtype=float)
+            ls = _floats(self.lengthscales, "lengthscales")
             if ls.ndim != 1 or ls.size == 0 or not np.all(np.isfinite(ls)) or np.any(ls <= 0):
                 raise ValueError("lengthscales must be finite and positive")
             object.__setattr__(self, "lengthscales", tuple(float(v) for v in ls))
         else:
-            s = np.asarray(self.sigma, dtype=float)
+            s = _floats(self.sigma, "sigma")
             if s.ndim != 2 or s.shape[0] != s.shape[1]:
                 raise ValueError("sigma must be a square matrix")
             if not np.allclose(s, s.T, atol=1e-12 * max(1.0, np.abs(s).max())):
@@ -87,8 +87,8 @@ class PolynomialKernel:
 
     def __post_init__(self):
         _check_shift(self.shift)
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError("polynomial degree must be an integer >= 1")
+        if not isinstance(self.degree, int) or not 1 <= self.degree <= sys.float_info.max:
+            raise ValueError("polynomial degree must be an integer >= 1 within the double range")
 
     @property
     def dimension(self) -> None:
@@ -153,9 +153,18 @@ KernelConfig = GaussianKernel | PolynomialKernel | Sobolev1Kernel | Sobolev2Kern
 
 
 def _check_shift(a) -> None:
-    # bool is an int subclass, but True is no shift
-    if isinstance(a, bool) or not (isinstance(a, (int, float)) and math.isfinite(a) and a >= 0):
+    # bool is an int subclass, but True is no shift.  An int compares with a
+    # float exactly, so NaN, infinity and an int beyond the double range all
+    # fail the bound (math.isfinite would raise OverflowError on that int).
+    if isinstance(a, bool) or not (isinstance(a, (int, float)) and 0 <= a <= sys.float_info.max):
         raise ValueError(f"shift must be a finite non-negative number, got {a!r}")
+
+
+def _floats(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise ValueError(f"{name} must be finite") from None
 
 
 def _as_points(points, expected_dim=None) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, open_output
 from .estimators import (
     CenteredExternal,
     KernelEstimator,
@@ -227,7 +227,7 @@ class CvReport:
         num_theta = self.care_thetas.shape[1] if self.care_losses.size else 0
         theta_cols = [f"theta_{m + 1}" for m in range(num_theta)]
         by_gamma = {e.gamma: e for e in self.gamma_entries}
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gamma", *theta_cols, "train_loss", "valid_loss", "converged"])
             if self.care_losses.size:

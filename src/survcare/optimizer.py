@@ -8,6 +8,7 @@ in m dimensions, where a dense update costs O(m^2).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ class OptimOptions:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not (self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive")
+        # NaN, infinity and an int beyond the double range fail the bound
+        if not 0 < self.gradient_tolerance <= sys.float_info.max:
+            raise ValueError("gradient_tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

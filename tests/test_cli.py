@@ -209,14 +209,27 @@ MALFORMED_KERNELS = {
     "summands_not_a_list": {"variant": "additive", "summands": "x"},
     "string_shift": {"variant": "sobolev1", "shift": "1.5"},
     "boolean_shift": {"variant": "sobolev1", "shift": True},
+    # JSON integers beyond the double range
+    "oversized_shift": {"variant": "sobolev1", "shift": 10**400},
+    "oversized_lengthscale": {"variant": "gaussian", "shift": 1.0, "lengthscales": [10**400]},
+    "oversized_sigma": {"variant": "gaussian", "shift": 1.0, "sigma": [[10**400]]},
+    "oversized_degree": {"variant": "polynomial", "degree": 10**400, "shift": 1.0},
 }
+
+OVERSIZED_GAMMA_GRIDS = {
+    "geometric_max": {"min": 1e-2, "max": 10**400, "count": 3},
+    "linear_min": {"min": 10**400, "max": 1.0, "count": 3, "geometric": False},
+    "value": {"values": [0.1, 10**400]},
+    "count": {"min": 1e-2, "max": 1.0, "count": 10**400},
+}
+
+SMALL_GRID = {"min": 1e-2, "max": 1.0, "count": 3}
 
 
 class TestKernelConfig:
     @staticmethod
-    def command_line(command, kernel, data, tmp_path):
-        """The arguments of one command whose config carries ``kernel``."""
-        grid = {"min": 1e-2, "max": 1.0, "count": 3}
+    def command_line(command, kernel, data, tmp_path, grid=SMALL_GRID):
+        """The arguments of one command whose config carries ``kernel`` and ``grid``."""
         configs = {
             "fit": {"kernel": kernel, "gamma": 0.1},
             "cv": {"kernel": kernel, "gamma_grid": grid},
@@ -236,6 +249,39 @@ class TestKernelConfig:
         assert main(args) == 2
         assert "error: invalid kernel config: " in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out_estimator.json")
+
+    @pytest.mark.parametrize("grid", OVERSIZED_GAMMA_GRIDS.values(), ids=OVERSIZED_GAMMA_GRIDS)
+    @pytest.mark.parametrize("command", ["cv", "care", "study"])
+    def test_oversized_gamma_grid_exit_2(self, tmp_path, simulated, capsys, command, grid):
+        kernel = {"variant": "sobolev1", "shift": 1.0}
+        args = self.command_line(command, kernel, f"{simulated}_data.csv", tmp_path, grid)
+        assert main(args) == 2
+        assert "error: invalid gamma_grid config: " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out_cv.csv")
+        assert not os.path.exists(tmp_path / "out_results.csv")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"gamma": 10**400}, "error: gamma must be positive and finite"),
+        ({"optimizer": {"gradient_tolerance": 10**400}},
+         "error: invalid optimizer config: gradient_tolerance must be positive and finite"),
+    ], ids=["gamma", "gradient_tolerance"])
+    def test_oversized_fit_number_exit_2(self, tmp_path, simulated, capsys, change, message):
+        config = {"kernel": {"variant": "sobolev1", "shift": 1.0}, "gamma": 0.1, **change}
+        cfg = write_json(tmp_path / "fit.json", config)
+        assert main(["fit", f"{simulated}_data.csv", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_oversized_seed_is_reduced_not_refused(self, tmp_path, command):
+        if command == "simulate":
+            config = {"dgp": "univariate", "n": 20, "seed": 10**400}
+        else:
+            config = {"dgp": "univariate", "kernel": {"variant": "sobolev1", "shift": 1.0},
+                      "gamma_grid": SMALL_GRID, "n_values": [20], "replications": 1,
+                      "mc_points": 50, "seed": 10**400}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
     def test_integer_shift_is_written_as_a_float(self, tmp_path, simulated):
         kernel = {"variant": "sobolev1", "shift": 1}
@@ -303,6 +349,83 @@ class TestEvaluate:
         values = [float(r["survival"]) for r in rows]
         assert values[0] == 1.0
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestOutputsOverwrittenInPlace:
+    """Every command rewrites existing outputs in place, leaving exactly the new bytes."""
+
+    COMMANDS = ["simulate", "fit", "cv", "care", "evaluate", "study"]
+
+    @staticmethod
+    def command_line(command, simulated, tmp_path):
+        data = f"{simulated}_data.csv"
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction\n" + "0.5\n" * 60, encoding="utf-8")
+        configs = {
+            "simulate": {"dgp": "univariate", "n": 20, "seed": 1},
+            "fit": {"kernel": CV_CONFIG["kernel"], "gamma": 0.1},
+            "cv": CV_CONFIG,
+            "care": dict(CV_CONFIG, externals=[{"builtin": "univariate_perturbed"}],
+                         theta_resolution=5),
+            "study": {"dgp": "univariate", "kernel": CV_CONFIG["kernel"],
+                      "gamma_grid": SMALL_GRID, "n_values": [20], "replications": 1,
+                      "use_external": True, "theta_resolution": 5, "mc_points": 50},
+        }
+        inputs = {"fit": [data], "cv": [data, data], "care": [data, data],
+                  "evaluate": [data, "--predictions", str(preds)]}
+        args = [command, *inputs.get(command, [])]
+        if command in configs:
+            args += ["--config", write_json(tmp_path / f"{command}.json", configs[command])]
+        return args
+
+    @staticmethod
+    def run(args, directory):
+        """Run ``args`` with the prefix ``directory/o``; each written file's bytes by suffix."""
+        directory.mkdir(exist_ok=True)
+        assert main([*args, "--out", str(directory / "o"), "--quiet"]) == 0
+        return {p.name[1:]: p.read_bytes() for p in directory.glob("o_*")}
+
+    @pytest.mark.parametrize("link", [False, True], ids=["file", "symlink"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, simulated, command, link):
+        args = self.command_line(command, simulated, tmp_path)
+        expected = self.run(args, tmp_path / "fresh")
+        assert len(expected) >= 2
+        old, targets = tmp_path / "old", tmp_path / "targets"
+        old.mkdir()
+        targets.mkdir()
+        inodes = {}
+        for suffix, content in expected.items():
+            stale = (targets if link else old) / f"o{suffix}"
+            stale.write_bytes(b"9" * (len(content) + 4096))
+            if link:
+                (old / f"o{suffix}").symlink_to(stale)
+            inodes[suffix] = stale.stat().st_ino
+        assert self.run(args, old) == expected
+        for suffix in expected:
+            path = old / f"o{suffix}"
+            assert path.is_symlink() == link
+            assert path.stat().st_ino == inodes[suffix]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_outputs_are_opened_without_truncation(self, tmp_path, simulated, monkeypatch,
+                                                   command):
+        args = self.command_line(command, simulated, tmp_path)
+        directory = tmp_path / "out"
+        opened = {}
+        os_open = os.open
+
+        def spy(path, flags, *rest, **kwargs):
+            if os.fspath(path).startswith(str(directory)):
+                opened[os.fspath(path)] = flags
+            return os_open(path, flags, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        written = self.run(args, directory)
+        assert sorted(opened) == sorted(str(directory / f"o{s}") for s in written)
+        for flags in opened.values():
+            assert flags & os.O_WRONLY and flags & os.O_CREAT
+            assert not flags & os.O_TRUNC
 
 
 class TestStudy:
@@ -418,6 +541,21 @@ class TestStudy:
             "mc_points": 50,
             "seed": 2,
         })
+
+    def test_rerun_with_fewer_replications_leaves_only_new_rows(self, tmp_path):
+        with open(self.small_study(tmp_path), encoding="utf-8") as fh:
+            config = json.load(fh)
+        reused, fresh = str(tmp_path / "reused"), str(tmp_path / "fresh")
+        assert survcare.cli.run_study(dict(config, replications=3), reused, quiet=True) == 0
+        assert survcare.cli.run_study(dict(config, replications=1), reused, quiet=True) == 0
+        assert survcare.cli.run_study(dict(config, replications=1), fresh, quiet=True) == 0
+        for suffix in ("_results.csv", "_summary.csv"):
+            with open(reused + suffix, "rb") as a, open(fresh + suffix, "rb") as b:
+                assert a.read() == b.read()
+        with open(reused + "_results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["rep"], r["estimator"]) for r in rows] == [
+            ("0", "cv_kernel"), ("0", "oracle_kernel")]
 
     def test_workers_capped_at_replications(self, tmp_path, pool_sizes):
         cfg = self.small_study(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from survcare import (
     MissingColumnError,
     NonNumericCellError,
     NonPositiveTimeError,
+    StepSurvival,
     SurvivalDataset,
     load_csv,
     split_train_validation,
     write_csv,
 )
+from survcare.data import open_output, write_json
 
 
 def _write(path, text):
@@ -81,6 +84,51 @@ class TestRoundTrip:
         data = load_csv(path)
         assert data.time_scale == 1.0
         np.testing.assert_array_equal(data.times, [0.25, 1.0])
+
+
+class TestOpenOutput:
+    def test_shorter_rewrite_leaves_only_new_bytes_on_the_same_inode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"x" * 10_000)
+        inode = path.stat().st_ino
+        with open_output(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == ("new" + os.linesep).encode()
+        assert path.stat().st_ino == inode
+
+    def test_newline_is_passed_to_open(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with open_output(path, newline="\r\n") as fh:
+            fh.write("a\nb\n")
+        assert path.read_bytes() == b"a\r\nb\r\n"
+
+    def test_hard_links_stay_shared(self, tmp_path):
+        first = tmp_path / "first.json"
+        first.write_text("[" + "0, " * 1000 + "0]", encoding="utf-8")
+        second = tmp_path / "second.json"
+        os.link(first, second)
+        write_json(first, [2])
+        assert second.read_bytes() == first.read_bytes()
+        assert json.loads(second.read_text(encoding="utf-8")) == [2]
+
+    def test_non_regular_file_is_not_truncated(self):
+        # truncate() on a character device raises OSError (EINVAL)
+        write_json(os.devnull, {"a": 1})
+        StepSurvival(np.array([0.5]), np.array([0.5])).to_csv(os.devnull)
+
+    def test_opens_without_truncating(self, tmp_path, monkeypatch):
+        flags = []
+        os_open = os.open
+
+        def spy(path, flag, *args):
+            flags.append(flag)
+            return os_open(path, flag, *args)
+
+        monkeypatch.setattr(os, "open", spy)
+        write_json(tmp_path / "out.json", {})
+        assert len(flags) == 1
+        assert flags[0] & os.O_CREAT and flags[0] & os.O_WRONLY
+        assert not flags[0] & os.O_TRUNC
 
 
 class TestDatasetInvariants:
