@@ -50,7 +50,6 @@ from .model_selection import (
     ExternalSpec,
     GammaGrid,
     ThetaGrid,
-    cross_validate_gamma,
     fit_care,
     theta_grid,
     validation_loss,

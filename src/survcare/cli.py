@@ -37,7 +37,6 @@ from .model_selection import (
     AllFitsFailed,
     ExternalSpec,
     GammaGrid,
-    cross_validate_gamma,
     fit_care_path,
     theta_grid,
 )
@@ -160,6 +159,14 @@ CONFIG_SCHEMAS = {
     },
 }
 
+# jsonschema counts an integral float such as 40.0 as an "integer", but every
+# integer setting is used as a Python int (a size, a count or a seed)
+_ConfigValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
+)
+
 BUILTIN_EXTERNALS = {
     "univariate_perturbed": "univariate",
     "multivariate_linear": "multivariate_d10",
@@ -173,7 +180,7 @@ def _load_config(path: str, command: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     try:
-        jsonschema.validate(obj, CONFIG_SCHEMAS[command])
+        jsonschema.validate(obj, CONFIG_SCHEMAS[command], cls=_ConfigValidator)
     except jsonschema.ValidationError as exc:
         field = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"{path}: invalid config at {field}: {exc.message}") from None
@@ -302,35 +309,11 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_cv(args) -> int:
-    config = _load_config(args.config, "cv")
-    train = load_csv(args.train)
-    valid = load_csv(args.valid)
-    gamma_hat, report, fits = cross_validate_gamma(
-        train, valid, _kernel(config["kernel"]), _gamma_grid(config["gamma_grid"]),
-        _optimizer(config.get("optimizer")))
-    cv_path = f"{args.out}_cv.csv"
-    sel_path = f"{args.out}_selection.json"
-    est_path = f"{args.out}_estimator.json"
-    pred_path = f"{args.out}_predictions.csv"
-    report.to_csv(cv_path)
-    write_json(sel_path, report.summary())
-    best = fits[gamma_hat]
-    write_json(est_path, best.to_json())
-    _write_predictions(pred_path, [
-        ("train", best.predict_many(train.covariates)),
-        ("valid", best.predict_many(valid.covariates)),
-    ])
-    _emit(args.quiet,
-          [f"selected gamma {gamma_hat:.6g}", f"report written to {cv_path}"],
-          {"status": "ok", "gamma_hat": gamma_hat,
-           "outputs": {"cv": cv_path, "selection": sel_path,
-                       "estimator": est_path, "predictions": pred_path}})
-    return EXIT_OK
-
-
-def cmd_care(args) -> int:
-    config = _load_config(args.config, "care")
+def _fit_and_write(args, command: str):
+    """Run the selection ``command``'s config asks for (plain cross-validation
+    without externals) and write the report, the selection and the
+    predictions; returns the selected estimator and the paths by role."""
+    config = _load_config(args.config, command)
     train = load_csv(args.train)
     valid = load_csv(args.valid)
     externals = _externals_from_config(config.get("externals", []), train, valid)
@@ -338,13 +321,10 @@ def cmd_care(args) -> int:
     care, report, _ = fit_care_path(
         train, valid, _kernel(config["kernel"]), _gamma_grid(config["gamma_grid"]),
         externals, thetas, _optimizer(config.get("optimizer")))
-    cv_path = f"{args.out}_cv.csv"
-    sel_path = f"{args.out}_selection.json"
-    care_path = f"{args.out}_care.json"
-    pred_path = f"{args.out}_predictions.csv"
-    report.to_csv(cv_path)
-    write_json(sel_path, report.summary())
-    write_json(care_path, care.to_json())
+    outputs = {"cv": f"{args.out}_cv.csv", "selection": f"{args.out}_selection.json",
+               "predictions": f"{args.out}_predictions.csv"}
+    report.to_csv(outputs["cv"])
+    write_json(outputs["selection"], report.summary())
     kernel_weight = 1.0 - sum(care.theta)
     sections = []
     for role, ds, ext_values in (
@@ -360,13 +340,29 @@ def cmd_care(args) -> int:
             else:
                 preds = preds + w * (np.asarray(table) - ext.training_mean)
         sections.append((role, preds))
-    _write_predictions(pred_path, sections)
+    _write_predictions(outputs["predictions"], sections)
+    return care, outputs
+
+
+def cmd_cv(args) -> int:
+    care, outputs = _fit_and_write(args, "cv")
+    outputs["estimator"] = f"{args.out}_estimator.json"
+    write_json(outputs["estimator"], care.kernel_estimator.to_json())
+    _emit(args.quiet,
+          [f"selected gamma {care.gamma:.6g}", f"report written to {outputs['cv']}"],
+          {"status": "ok", "gamma_hat": care.gamma, "outputs": outputs})
+    return EXIT_OK
+
+
+def cmd_care(args) -> int:
+    care, outputs = _fit_and_write(args, "care")
+    outputs["care"] = f"{args.out}_care.json"
+    write_json(outputs["care"], care.to_json())
     _emit(args.quiet,
           [f"selected gamma {care.gamma:.6g}, theta {list(care.theta)}",
-           f"report written to {cv_path}"],
+           f"report written to {outputs['cv']}"],
           {"status": "ok", "gamma_check": care.gamma, "theta_check": list(care.theta),
-           "outputs": {"cv": cv_path, "selection": sel_path,
-                       "care": care_path, "predictions": pred_path}})
+           "outputs": outputs})
     return EXIT_OK
 
 
@@ -462,9 +458,9 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     replication is seeded independently from (seed, n, rep) and rows are
     assembled in sorted order.  At most one worker process per replication is
     started; ``workers`` below 1 is a configuration error.  The generator,
-    kernel, gamma grid and optimizer options are parsed once, before any
-    replication runs, so a bad config raises here instead of failing every
-    replication.
+    kernel, gamma grid and optimizer options are parsed once, and the sample
+    sizes checked against numpy's array size limit, before any replication
+    runs, so a bad config raises here instead of failing every replication.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -473,6 +469,16 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     constant_norm_squared(kernel)
     grid = _gamma_grid(config["gamma_grid"])
     options = _optimizer(config.get("optimizer"))
+    mc_points = config.get("mc_points", 500)
+    # numpy refuses an array of more than np.iinfo(np.intp).max bytes, so a
+    # (2n, d) draw or (mc_points, d) design beyond it fails every replication
+    max_rows = np.iinfo(np.intp).max // (dgp.dimension * np.dtype(float).itemsize)
+    for name, rows in [*((f"n_values entry {n}", 2 * n) for n in config["n_values"]),
+                       ("mc_points", mc_points)]:
+        if rows > max_rows:
+            raise ConfigError(f"invalid study config: {name} needs a ({rows}, "
+                              f"{dgp.dimension}) array, beyond numpy's limit of "
+                              f"{max_rows} rows")
     payloads = [
         {
             "dgp": dgp,
@@ -484,7 +490,7 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
             "seed": config.get("seed", 0),
             "use_external": config.get("use_external", False),
             "theta_resolution": config.get("theta_resolution", 20),
-            "mc_points": config.get("mc_points", 500),
+            "mc_points": mc_points,
         }
         for n in config["n_values"]
         for rep in range(config["replications"])

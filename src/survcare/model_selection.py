@@ -1,5 +1,10 @@
 """Cross-validated selection of the regularisation level and aggregation weights.
 
+``fit_care_path`` is the one implementation of both selections, and
+``fit_care`` returns its estimator and report.  With no externals it is plain
+cross-validation of the regularisation level: the estimator is the kernel
+fit at the selected level, with no aggregation weights.
+
 The regularisation path is fitted in decreasing order, warm-starting each fit
 at the previous solution; only the optimisation is repeated per level since
 the representer context is shared.  The validation predictions of every level
@@ -207,7 +212,8 @@ class CvReport:
     The theta scan is stored as columns: ``care_losses[l, p]`` is the
     validation loss of the combination at ``care_gammas[l]``, the converged
     levels in ascending order, and ``care_thetas[p]``, a row of the theta
-    grid's read-only array.  Without externals all three are empty.
+    grid's read-only array.  Without externals all three are empty,
+    ``gamma_check`` is ``gamma_hat`` and ``theta_check`` is empty.
     ``care_entries`` views the scan as one ``CareEntry`` per (level, point).
     """
 
@@ -251,11 +257,9 @@ class CvReport:
             "num_gamma": len(self.gamma_entries),
             "num_converged": sum(e.converged for e in self.gamma_entries),
         }
-        converged = [e for e in self.gamma_entries if e.converged]
-        if converged and self.gamma_hat is not None:
-            out["valid_loss_at_gamma_hat"] = min(
-                e.valid_loss for e in converged if e.gamma == self.gamma_hat
-            )
+        if self.gamma_hat is not None:
+            out["valid_loss_at_gamma_hat"] = next(
+                e.valid_loss for e in self.gamma_entries if e.gamma == self.gamma_hat)
         return out
 
 
@@ -294,31 +298,6 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
         )
     ordered = [entries[g] for g in grid.values]
     return fits, ordered, valid_preds
-
-
-def _select_gamma(entries: list[GammaEntry]) -> float:
-    best_gamma, best_loss = None, math.inf
-    for e in entries:  # ascending gamma; strict < keeps the smallest minimiser
-        if e.converged and e.valid_loss < best_loss:
-            best_gamma, best_loss = e.gamma, e.valid_loss
-    if best_gamma is None:
-        raise AllFitsFailed("no fit on the gamma grid converged")
-    return best_gamma
-
-
-def cross_validate_gamma(train: SurvivalDataset, valid: SurvivalDataset,
-                         kernel: KernelConfig, grid: GammaGrid,
-                         options: OptimOptions | None = None):
-    """Select the regularisation level by validation likelihood.
-
-    Returns (gamma_hat, report, fits) where fits maps each grid value to its
-    fitted estimator.  Non-converged fits are recorded but excluded from the
-    selection; if all fits fail, AllFitsFailed is raised.
-    """
-    fits, entries, _ = _fit_gamma_path(train, valid, kernel, grid, options)
-    gamma_hat = _select_gamma(entries)
-    report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat)
-    return gamma_hat, report, fits
 
 
 @dataclass
@@ -409,14 +388,15 @@ def _centred_externals(externals: list[ExternalSpec], train: SurvivalDataset,
 
 
 def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfig,
-             gammas: GammaGrid, externals: list[ExternalSpec], thetas: ThetaGrid | None,
-             options: OptimOptions | None = None):
+             gammas: GammaGrid, externals: Sequence[ExternalSpec] = (),
+             thetas: ThetaGrid | None = None, options: OptimOptions | None = None):
     """Fit the aggregated estimator with cross-validated (gamma, theta).
 
     Externals are centred on the training sample.  For each gamma the kernel
     estimator is fitted once; the theta scan then combines cached validation
-    prediction vectors.  With no externals this degrades to plain gamma
-    cross-validation and the selected theta is empty.
+    prediction vectors.  With no externals (the default) this is plain gamma
+    cross-validation: the estimator is the kernel fit at ``gamma_hat``, the
+    selected theta is empty and ``gamma_check`` equals ``gamma_hat``.
 
     Returns (care_estimator, report).
     """
@@ -425,58 +405,54 @@ def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfi
 
 
 def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfig,
-                  gammas: GammaGrid, externals: list[ExternalSpec], thetas: ThetaGrid | None,
-                  options: OptimOptions | None = None):
-    """Like fit_care, but also returns the per-gamma fitted estimator map."""
+                  gammas: GammaGrid, externals: Sequence[ExternalSpec] = (),
+                  thetas: ThetaGrid | None = None, options: OptimOptions | None = None):
+    """Like fit_care, but also returns the per-gamma fitted estimator map.
+
+    Non-converged fits are recorded but excluded from both selections; if all
+    fits fail, AllFitsFailed is raised.
+    """
     fits, entries, valid_preds = _fit_gamma_path(train, valid, kernel, gammas, options)
-    gamma_hat = _select_gamma(entries)
+    gamma_hat, best = None, math.inf
+    for e in entries:  # ascending gamma; strict < keeps the smallest minimiser
+        if e.converged and e.valid_loss < best:
+            gamma_hat, best = e.gamma, e.valid_loss
+    if gamma_hat is None:
+        raise AllFitsFailed("no fit on the gamma grid converged")
+    report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat,
+                      gamma_check=gamma_hat, theta_check=())
+    centred: list[CenteredExternal] = []
 
-    if not externals:
-        report = CvReport(
-            gamma_entries=entries, gamma_hat=gamma_hat,
-            gamma_check=gamma_hat, theta_check=(),
-        )
-        care = CareEstimator(
-            kernel_estimator=fits[gamma_hat], externals=[], theta=(), gamma=gamma_hat,
-        )
-        return care, report, fits
+    if externals:
+        if thetas is None:
+            raise ValueError("a theta grid is required when externals are given")
+        if thetas.num_externals != len(externals):
+            raise ValueError("theta grid width must match the number of externals")
+        centred, centred_valid = _centred_externals(externals, train, valid)
+        idx = valid.risk_index()
+        externals_sorted = centred_valid.T[idx.order]  # n x M, in the core's sorted order
+        theta_mat = thetas.points                      # P x M
+        kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
+        levels = [e.gamma for e in entries if e.converged]  # ascending gamma
+        care_losses = np.empty((len(levels), len(thetas)))
+        for gamma, losses in zip(levels, care_losses):
+            preds_sorted = valid_preds[gamma][idx.order]
+            for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
+                cols = slice(start, start + _ROW_BLOCK)
+                combos = preds_sorted[:, None] * kernel_weight[cols] + \
+                    externals_sorted @ theta_mat[cols].T
+                losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
+        # levels ascend and the points are in lexicographic order, so the first
+        # minimiser in C order has the smallest gamma, then the smallest theta
+        level, p = divmod(int(np.argmin(care_losses)), len(thetas))
+        report.care_gammas, report.care_thetas, report.care_losses = \
+            tuple(levels), theta_mat, care_losses
+        report.gamma_check, report.theta_check = levels[level], tuple(theta_mat[p].tolist())
 
-    if thetas is None:
-        raise ValueError("a theta grid is required when externals are given")
-    if thetas.num_externals != len(externals):
-        raise ValueError("theta grid width must match the number of externals")
-
-    centred, centred_valid = _centred_externals(externals, train, valid)
-    idx = valid.risk_index()
-    externals_sorted = centred_valid.T[idx.order]  # n x M, in the core's sorted order
-    theta_mat = thetas.points                      # P x M
-    kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
-    levels = [e.gamma for e in entries if e.converged]  # ascending gamma
-    care_losses = np.empty((len(levels), len(thetas)))
-    for gamma, losses in zip(levels, care_losses):
-        preds_sorted = valid_preds[gamma][idx.order]
-        for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
-            cols = slice(start, start + _ROW_BLOCK)
-            combos = preds_sorted[:, None] * kernel_weight[cols] + \
-                externals_sorted @ theta_mat[cols].T
-            losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
-    # levels ascend and the points are in lexicographic order, so the first
-    # minimiser in C order has the smallest gamma, then the smallest theta
-    level, p = divmod(int(np.argmin(care_losses)), len(thetas))
-    gamma_check, theta_check = levels[level], tuple(theta_mat[p].tolist())
-    report = CvReport(
-        gamma_entries=entries,
-        care_gammas=tuple(levels),
-        care_thetas=theta_mat,
-        care_losses=care_losses,
-        gamma_hat=gamma_hat,
-        gamma_check=gamma_check,
-        theta_check=theta_check,
-    )
     care = CareEstimator(
-        kernel_estimator=fits[gamma_check],
+        kernel_estimator=fits[report.gamma_check],
         externals=centred,
-        theta=theta_check,
-        gamma=gamma_check,
+        theta=report.theta_check,
+        gamma=report.gamma_check,
     )
     return care, report, fits

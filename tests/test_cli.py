@@ -129,6 +129,27 @@ class TestCv:
         assert main(["cv", f"{simulated}_data.csv", f"{simulated}_data.csv",
                      "--config", path, "--out", str(tmp_path / "x")]) == 4
 
+    def test_care_without_externals_writes_the_same_selection(self, tmp_path, simulated):
+        # cv is CARE with no externals: one selection, written by one path
+        cfg = write_json(tmp_path / "cv.json", CV_CONFIG)
+        data = f"{simulated}_data.csv"
+        cv, care = str(tmp_path / "cv"), str(tmp_path / "care")
+        assert main(["cv", data, data, "--config", cfg, "--out", cv, "--quiet"]) == 0
+        assert main(["care", data, data, "--config", cfg, "--out", care, "--quiet"]) == 0
+        for suffix in ("_cv.csv", "_predictions.csv", "_selection.json"):
+            with open(cv + suffix, "rb") as a, open(care + suffix, "rb") as b:
+                assert a.read() == b.read()
+        with open(f"{cv}_estimator.json", encoding="utf-8") as fh:
+            estimator = json.load(fh)
+        with open(f"{care}_care.json", encoding="utf-8") as fh:
+            care_json = json.load(fh)
+        assert care_json["kernel_estimator"] == estimator
+        assert care_json["theta"] == [] and care_json["externals"] == []
+        with open(f"{cv}_selection.json", encoding="utf-8") as fh:
+            sel = json.load(fh)
+        assert sel["gamma_check"] == sel["gamma_hat"] == care_json["gamma"]
+        assert sel["theta_check"] == []
+
 
 class TestCare:
     def test_builtin_external(self, tmp_path, simulated):
@@ -288,6 +309,53 @@ class TestKernelConfig:
         assert main(self.command_line("fit", kernel, f"{simulated}_data.csv", tmp_path)) == 0
         with open(tmp_path / "out_estimator.json", encoding="utf-8") as fh:
             assert '"shift": 1.0' in fh.read()
+
+
+# every integer setting of every command, as a path into that command's config
+INTEGER_CONFIGS = {
+    "simulate": {"dgp": "univariate", "n": 20, "seed": 1},
+    "fit": {"kernel": CV_CONFIG["kernel"], "gamma": 0.1, "optimizer": {"max_iterations": 50}},
+    "cv": dict(CV_CONFIG, optimizer={"max_iterations": 50}),
+    "care": dict(CV_CONFIG, externals=[{"builtin": "univariate_perturbed"}],
+                 theta_resolution=5, optimizer={"max_iterations": 50}),
+    "study": {"dgp": "univariate", "kernel": CV_CONFIG["kernel"], "gamma_grid": SMALL_GRID,
+              "n_values": [20], "replications": 1, "use_external": True,
+              "theta_resolution": 5, "mc_points": 50, "seed": 1,
+              "optimizer": {"max_iterations": 50}},
+}
+INTEGER_FIELDS = [
+    ("simulate", ("n",)), ("simulate", ("seed",)),
+    ("fit", ("optimizer", "max_iterations")),
+    ("cv", ("gamma_grid", "count")), ("cv", ("optimizer", "max_iterations")),
+    ("care", ("gamma_grid", "count")), ("care", ("theta_resolution",)),
+    ("care", ("optimizer", "max_iterations")),
+    ("study", ("gamma_grid", "count")), ("study", ("n_values", 0)),
+    ("study", ("replications",)), ("study", ("theta_resolution",)),
+    ("study", ("mc_points",)), ("study", ("seed",)), ("study", ("optimizer", "max_iterations")),
+]
+
+
+@pytest.mark.parametrize("command, field", INTEGER_FIELDS,
+                         ids=["-".join([c, *map(str, f)]) for c, f in INTEGER_FIELDS])
+def test_integral_float_for_an_integer_exit_2(tmp_path, simulated, capsys, command, field):
+    config = json.loads(json.dumps(INTEGER_CONFIGS[command]))
+    valid_path = write_json(tmp_path / "valid.json", config)
+    assert survcare.cli._load_config(valid_path, command) == config
+    *parents, last = field
+    holder = config
+    for key in parents:
+        holder = holder[key]
+    holder[last] = float(holder[last])
+    data = f"{simulated}_data.csv"
+    inputs = {"fit": [data], "cv": [data, data], "care": [data, data]}
+    args = [command, *inputs.get(command, []),
+            "--config", write_json(tmp_path / "float.json", config),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    where = "/".join(map(str, field))
+    assert (f"invalid config at {where}: {holder[last]!r} is not of type 'integer'"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("out_*"))
 
 
 class TestPredictionTables:
@@ -564,13 +632,15 @@ class TestStudy:
                      "--workers", "5000"]) == 0
         assert pool_sizes == [2]
 
-    @pytest.mark.parametrize("change", [
-        {"kernel": {"variant": "gaussian", "shift": 1.0}},
-        {"kernel": {"variant": "sobolev1", "shift": 0.0}},
-        {"n_values": [20, 30, 20]},
-    ], ids=["gaussian_without_lengthscales", "zero_shift", "repeated_n"])
+    @pytest.mark.parametrize("change, message", [
+        ({"kernel": {"variant": "gaussian", "shift": 1.0}}, "invalid kernel config"),
+        ({"kernel": {"variant": "sobolev1", "shift": 0.0}}, "constant function is not"),
+        ({"n_values": [20, 30, 20]}, "invalid config at n_values: [20, 30, 20] has non-unique"),
+        ({"n_values": [20, 10**40]}, "invalid study config: n_values entry 10"),
+        ({"mc_points": 10**41}, "invalid study config: mc_points"),
+    ], ids=["gaussian_without_lengthscales", "zero_shift", "repeated_n", "huge_n", "huge_mc"])
     def test_bad_config_exit_2_before_any_replication(self, tmp_path, capsys, monkeypatch,
-                                                      change):
+                                                      change, message):
         ran = []
         monkeypatch.setattr(survcare.cli, "_study_replication", ran.append)
         self.small_study(tmp_path)
@@ -578,10 +648,41 @@ class TestStudy:
         path = write_json(tmp_path / "bad.json", {**cfg, **change})
         out = str(tmp_path / "study")
         assert main(["study", "--config", path, "--out", out]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert ran == []
         assert not os.path.exists(f"{out}_results.csv")
         assert not os.path.exists(f"{out}_summary.csv")
+
+    @pytest.mark.parametrize("dgp, d", [("univariate", 1), ("multivariate_d10", 10)])
+    @pytest.mark.parametrize("field", ["n_values", "mc_points"])
+    def test_refuses_exactly_the_sizes_numpy_cannot_index(self, tmp_path, monkeypatch,
+                                                          dgp, d, field):
+        def indexable(rows):  # a zero-stride view: numpy's check, with nothing allocated
+            try:
+                np.broadcast_to(np.zeros((1, d)), (rows, d))
+            except ValueError:
+                return False
+            return True
+
+        def not_run(payload):
+            ran.append(payload)
+            return {"n": payload["n"], "rep": payload["rep"], "rows": [], "error": "not run"}
+
+        ran = []
+        monkeypatch.setattr(survcare.cli, "_study_replication", not_run)
+        with open(self.small_study(tmp_path), encoding="utf-8") as fh:
+            config = dict(json.load(fh), dgp=dgp)
+        out = str(tmp_path / "study")
+        last = np.iinfo(np.intp).max // (8 * d)  # the most (rows, d) doubles numpy indexes
+        assert indexable(last) and not indexable(last + 1)
+        # a study draws 2n records
+        largest, beyond = ([last // 2], [last // 2 + 1]) if field == "n_values" else (last, last + 1)
+        assert survcare.cli.run_study({**config, field: largest}, out, quiet=True) == 5
+        assert len(ran) == 2
+        with pytest.raises(survcare.cli.ConfigError, match="invalid study config"):
+            survcare.cli.run_study({**config, field: beyond}, out, quiet=True)
+        assert len(ran) == 2
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, pool_sizes, capsys, workers):

@@ -16,7 +16,6 @@ from survcare import (
     Sobolev1Kernel,
     SurvivalDataset,
     ThetaGrid,
-    cross_validate_gamma,
     fit_care,
     fit_kernel_estimator,
     neg_log_partial_likelihood,
@@ -132,14 +131,14 @@ class TestThetaGrid:
 class TestCrossValidateGamma:
     def test_singleton_grid(self, cv_setup, sob1):
         train, valid, _ = cv_setup
-        gamma_hat, report, fits = cross_validate_gamma(
-            train, valid, sob1, GammaGrid((0.1,)))
-        assert gamma_hat == 0.1
+        _, report, fits = fit_care_path(train, valid, sob1, GammaGrid((0.1,)))
+        assert report.gamma_hat == 0.1
         assert set(fits) == {0.1}
 
     def test_selection_attains_table_minimum(self, cv_setup, sob1):
         train, valid, _ = cv_setup
-        gamma_hat, report, fits = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
+        _, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID)
+        gamma_hat = report.gamma_hat
         losses = {e.gamma: e.valid_loss for e in report.gamma_entries if e.converged}
         assert losses[gamma_hat] == min(losses.values())
         # re-evaluating the loss at the selection reproduces the table entry
@@ -150,7 +149,7 @@ class TestCrossValidateGamma:
         for seed in range(5):
             data, _ = simulate_dataset(uni_dgp, 200, 1000 + seed)
             train, valid = split_train_validation(data, seed)
-            gamma_warm, _, _ = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
+            gamma_warm = fit_care_path(train, valid, sob1, SMALL_GRID)[1].gamma_hat
             # cold oracle: independent fits from zero at every grid point
             losses = {}
             for gamma in SMALL_GRID.values:
@@ -169,7 +168,7 @@ class TestCrossValidateGamma:
         for seed in range(20):
             data, _ = simulate_dataset(uni_dgp, 400, 3000 + seed)
             train, valid = split_train_validation(data, seed)
-            gamma_hat, _, _ = cross_validate_gamma(train, valid, sob1, grid)
+            gamma_hat = fit_care_path(train, valid, sob1, grid)[1].gamma_hat
             if grid.values[0] < gamma_hat < grid.values[-1]:
                 interior += 1
         assert interior >= 16
@@ -178,19 +177,23 @@ class TestCrossValidateGamma:
         train, valid, _ = cv_setup
         opts = OptimOptions(gradient_tolerance=1e-30, max_iterations=1)
         with pytest.raises(AllFitsFailed):
-            cross_validate_gamma(train, valid, sob1, GammaGrid((0.1, 1.0)), opts)
+            fit_care_path(train, valid, sob1, GammaGrid((0.1, 1.0)), options=opts)
 
 
 class TestFitCare:
     def test_no_externals_degrades_to_cv(self, cv_setup, sob1):
         train, valid, _ = cv_setup
-        gamma_hat, report_cv, fits = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
-        care, report = fit_care(train, valid, sob1, SMALL_GRID, [], None)
+        _, report_cv, fits = fit_care_path(train, valid, sob1, SMALL_GRID, [], None)
+        gamma_hat = report_cv.gamma_hat
+        losses = {e.gamma: e.valid_loss for e in report_cv.gamma_entries if e.converged}
+        assert losses[gamma_hat] == min(losses.values())
+        care, report = fit_care(train, valid, sob1, SMALL_GRID)  # externals default to none
         assert care.gamma == gamma_hat
         assert care.theta == ()
         np.testing.assert_allclose(
             care.kernel_estimator.beta, fits[gamma_hat].beta, atol=1e-12)
         assert report.gamma_check == report_cv.gamma_hat
+        assert report.theta_check == () and report.care_losses.size == 0
 
     def test_vertex_dominance(self, cv_setup, sob1):
         train, valid, truth = cv_setup
@@ -443,7 +446,7 @@ class TestCvReport:
         scanned.to_csv(path)
         assert path.read_bytes() == csv_bytes_by_row_formula(scanned)
         train, valid, _ = cv_setup
-        _, report, _ = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
+        _, report, _ = fit_care_path(train, valid, sob1, SMALL_GRID)
         report.to_csv(path)
         assert path.read_bytes() == csv_bytes_by_row_formula(report)
 
@@ -484,10 +487,13 @@ class TestCvReport:
 
     def test_summary_contains_selections(self, cv_setup, sob1):
         train, valid, _ = cv_setup
-        _, report, _ = cross_validate_gamma(train, valid, sob1, SMALL_GRID)
+        _, report, _ = fit_care_path(train, valid, sob1, SMALL_GRID)
         summary = report.summary()
         assert summary["gamma_hat"] == report.gamma_hat
+        assert summary["gamma_check"] == report.gamma_hat and summary["theta_check"] == []
         assert summary["num_gamma"] == len(SMALL_GRID)
+        (selected,) = [e for e in report.gamma_entries if e.gamma == report.gamma_hat]
+        assert summary["valid_loss_at_gamma_hat"] == selected.valid_loss
 
 
 class TestGammaGridValidation:
