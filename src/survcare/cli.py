@@ -11,7 +11,6 @@ prints on stderr as ``warning: <message>``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
@@ -23,15 +22,15 @@ import numpy as np
 from .data import (
     DataFormatError,
     SurvivalDataset,
-    _parse_cell,
     load_csv,
-    open_output,
+    read_rows,
     split_train_validation,
     write_csv,
     write_json,
+    write_table,
 )
 from .estimators import fit_kernel_estimator
-from .evaluation import _mc_design, breslow_survival, concordance_index, l2_error_mc
+from .evaluation import StepSurvival, _mc_design, breslow_survival, concordance_index, l2_error_mc
 from .kernels import NotInSpaceError, constant_norm_squared, kernel_from_json
 from .model_selection import (
     AllFitsFailed,
@@ -217,12 +216,12 @@ def _optimizer(obj: dict | None) -> OptimOptions:
 
 def _read_prediction_table(path: str, expected: int, label: str) -> np.ndarray:
     """The 'prediction' column of the CSV at ``path``; ``label`` names the table."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "prediction" not in reader.fieldnames:
+    def select(header):
+        if header is None or "prediction" not in header:
             raise ConfigError(f"{path}: prediction table needs a 'prediction' column")
-        values = [_parse_cell(row["prediction"], path, i, "prediction")
-                  for i, row in enumerate(reader)]
+        return ["prediction"]
+
+    values = [v for v, in read_rows(path, select)]
     if len(values) != expected:
         raise ConfigError(f"{label} {path} has {len(values)} rows, expected {expected}")
     return np.asarray(values)
@@ -262,12 +261,8 @@ def _emit(quiet: bool, human: list[str], machine: dict) -> None:
 
 def _write_predictions(path, sections) -> None:
     """sections: iterable of (role, values)."""
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["role", "row", "prediction"])
-        for role, values in sections:
-            for i, v in enumerate(values):
-                writer.writerow([role, i, repr(float(v))])
+    write_table(path, ["role", "row", "prediction"],
+                ([role, i, v] for role, values in sections for i, v in enumerate(values)))
 
 
 def cmd_simulate(args) -> int:
@@ -278,12 +273,8 @@ def cmd_simulate(args) -> int:
     data_path = f"{args.out}_data.csv"
     truth_path = f"{args.out}_truth.csv"
     write_csv(dataset, data_path)
-    with open_output(truth_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(dataset.dimension)] + ["f0"])
-        f0 = true_f0(dgp, dataset.covariates)
-        for i in range(len(dataset)):
-            writer.writerow([repr(float(v)) for v in dataset.covariates[i]] + [repr(float(f0[i]))])
+    write_table(truth_path, [f"x{j + 1}" for j in range(dataset.dimension)] + ["f0"],
+                np.column_stack([dataset.covariates, true_f0(dgp, dataset.covariates)]))
     _emit(args.quiet,
           [f"wrote {len(dataset)} records to {data_path}", f"wrote truth table to {truth_path}"],
           {"status": "ok", "records": len(dataset),
@@ -370,7 +361,8 @@ def cmd_evaluate(args) -> int:
     data = load_csv(args.data)
     curve = breslow_survival(data)
     breslow_path = f"{args.out}_breslow.csv"
-    curve.to_csv(breslow_path)
+    # the curve's jump times are normalised; the table gives them in file units
+    StepSurvival(curve.times * data.time_scale, curve.values).to_csv(breslow_path)
     outputs = {"breslow": breslow_path}
     metrics = {}
     if args.predictions:
@@ -512,31 +504,23 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     rows.sort(key=lambda r: (r["n"], r["rep"], ESTIMATOR_ORDER[r["estimator"]]))
 
     results_path = f"{out_prefix}_results.csv"
-    with open_output(results_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "rep", "estimator", "l2_error", "gamma", "theta"])
-        for r in rows:
-            writer.writerow([
-                r["n"], r["rep"], r["estimator"], repr(float(r["l2_error"])),
-                "" if r["gamma"] is None else repr(float(r["gamma"])),
-                ";".join(repr(float(t)) for t in r["theta"]),
-            ])
+    write_table(results_path, ["n", "rep", "estimator", "l2_error", "gamma", "theta"], (
+        [r["n"], r["rep"], r["estimator"], r["l2_error"], r["gamma"],
+         ";".join(repr(float(t)) for t in r["theta"])] for r in rows))
 
     summary_path = f"{out_prefix}_summary.csv"
     groups: dict[tuple[int, str], list[float]] = {}
     for r in rows:
         groups.setdefault((r["n"], r["estimator"]), []).append(r["l2_error"])
-    with open_output(summary_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "estimator", "n_rep", "mean_l2_error", "sd_l2_error",
-                         "ci_low", "ci_high"])
-        for (n, est) in sorted(groups, key=lambda k: (k[0], ESTIMATOR_ORDER[k[1]])):
-            vals = np.asarray(groups[(n, est)])
-            mean = float(vals.mean())
-            sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-            half = 2.0 * sd / float(np.sqrt(vals.size))
-            writer.writerow([n, est, vals.size, repr(mean), repr(sd),
-                             repr(mean - half), repr(mean + half)])
+    summary = []
+    for (n, est) in sorted(groups, key=lambda k: (k[0], ESTIMATOR_ORDER[k[1]])):
+        vals = np.asarray(groups[(n, est)])
+        mean = float(vals.mean())
+        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        half = 2.0 * sd / float(np.sqrt(vals.size))
+        summary.append([n, est, vals.size, mean, sd, mean - half, mean + half])
+    write_table(summary_path, ["n", "estimator", "n_rep", "mean_l2_error", "sd_l2_error",
+                               "ci_low", "ci_high"], summary)
 
     total = len(payloads)
     ok = total - len(failures)

@@ -16,7 +16,8 @@ is refused; a non-regular path such as ``/dev/null`` is written and never
 truncated.  Nothing is fsynced.  Opening with truncation instead blocks in
 the truncate for tens of milliseconds on filesystems that discard freed
 blocks (ext4 mounted with ``discard``), against well under a millisecond for
-the write itself.
+the write itself.  Every CSV table is written by ``write_table`` and read
+by ``read_rows``.
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ class SurvivalDataset:
         )
 
 
-def _parse_cell(value: str | None, path, row: int, column: str) -> float:
-    """The number in one CSV cell; a short row's missing cell (None) is blank."""
-    value = value.strip() if value is not None else ""
+def _parse_cell(value: str, path, row: int, column: str) -> float:
+    """The number in one CSV cell."""
+    value = value.strip()
     if value == "":
         raise NonNumericCellError(f"{path}: blank cell in column {column!r}, row {row}")
     try:
@@ -160,6 +161,25 @@ def _parse_cell(value: str | None, path, row: int, column: str) -> float:
         ) from None
 
 
+def read_rows(path, select):
+    """Yield each non-blank row of the CSV at ``path`` as the floats in ``select(header)``.
+
+    ``select`` names the columns to read and raises when one is missing; the
+    header is None if the file has none.  A repeated column name is refused.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        for j, name in enumerate(header or ()):
+            if name in header[:j]:
+                raise DataFormatError(f"{path}: repeated column {name!r}")
+        columns = select(header)
+        positions = [header.index(c) for c in columns]
+        for i, row in enumerate(r for r in reader if r):
+            yield [_parse_cell(row[p] if p < len(row) else "", path, i, c)
+                   for p, c in zip(positions, columns)]
+
+
 def load_csv(path, time_column: str = "time", event_column: str = "event",
              covariate_columns: list[str] | None = None) -> SurvivalDataset:
     """Load a survival dataset from CSV.
@@ -168,47 +188,40 @@ def load_csv(path, time_column: str = "time", event_column: str = "event",
     default to every other column, in header order.  Event 1 means the event
     was observed, 0 means censored.  Times are divided by the file maximum.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    def select(header):
+        if header is None:
             raise DataFormatError(f"{path}: missing header row")
-        header = list(reader.fieldnames)
-        for col in (time_column, event_column):
+        covs = covariate_columns if covariate_columns is not None else [
+            c for c in header if c not in (time_column, event_column)]
+        for col in (time_column, event_column, *covs):
             if col not in header:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
-        if covariate_columns is None:
-            covariate_columns = [c for c in header if c not in (time_column, event_column)]
-        else:
-            for col in covariate_columns:
-                if col not in header:
-                    raise MissingColumnError(f"{path}: missing column {col!r}")
-        if not covariate_columns:
+        if not covs:
             raise MissingColumnError(f"{path}: no covariate columns")
-        covs, raw_times, censored = [], [], []
-        for i, row in enumerate(reader):
-            covs.append([_parse_cell(row[c], path, i, c) for c in covariate_columns])
-            t = _parse_cell(row[time_column], path, i, time_column)
-            if t <= 0:
-                raise NonPositiveTimeError(f"{path}: non-positive time in row {i}")
-            raw_times.append(t)
-            ev = _parse_cell(row[event_column], path, i, event_column)
-            if ev not in (0.0, 1.0):
-                raise BadEventFlagError(f"{path}: event flag must be 0 or 1 in row {i}")
-            censored.append(ev == 0.0)
-    if not raw_times:
+        return [*covs, time_column, event_column]
+
+    rows = []
+    for i, row in enumerate(read_rows(path, select)):  # covariates, time, event
+        if row[-2] <= 0:
+            raise NonPositiveTimeError(f"{path}: non-positive time in row {i}")
+        if row[-1] not in (0.0, 1.0):
+            raise BadEventFlagError(f"{path}: event flag must be 0 or 1 in row {i}")
+        rows.append(row)
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return SurvivalDataset.from_raw_times(np.asarray(covs), np.asarray(raw_times), censored)
+    rows = np.asarray(rows)
+    return SurvivalDataset.from_raw_times(rows[:, :-2], rows[:, -2], rows[:, -1] == 0.0)
 
 
 @contextlib.contextmanager
-def open_output(path, newline=None):
+def open_output(path):
     """A UTF-8 text file at ``path``, overwritten in place (see the module docstring).
 
-    ``newline`` is passed to ``open``; on exit a regular file is truncated at
-    the final position, so no byte of longer earlier content survives.
+    Newlines are written untranslated.  On exit a regular file is truncated
+    at the final position, so no byte of longer earlier content survives.
     """
     fh = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
-              newline=newline, encoding="utf-8")
+              newline="", encoding="utf-8")
     try:
         yield fh
     finally:
@@ -219,17 +232,27 @@ def open_output(path, newline=None):
             fh.close()
 
 
+def write_table(path, header, rows) -> None:
+    """Write the header, then the rows, as a CSV table with csv's line endings.
+
+    A float cell, numpy's included, is written as ``repr(float(v))``, which
+    reads back to the same double; None as an empty cell, any other as ``str``.
+    """
+    floats = (float, np.floating)
+    with open_output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, floats) else v for v in row]
+                         for row in rows)
+
+
 def write_csv(dataset: SurvivalDataset, path) -> None:
     """Write a dataset with de-normalised times plus a JSON metadata sidecar."""
     d = dataset.dimension
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(d)] + ["time", "event"])
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.covariates[i]]
-            row.append(repr(float(dataset.times[i] * dataset.time_scale)))
-            row.append("0" if dataset.censored[i] else "1")
-            writer.writerow(row)
+    write_table(path, [f"x{j + 1}" for j in range(d)] + ["time", "event"], (
+        [*x, t, int(e)] for x, t, e in zip(dataset.covariates.tolist(),
+                                           (dataset.times * dataset.time_scale).tolist(),
+                                           dataset.events.tolist())))
     write_json(f"{path}.meta.json", {"time_scale": dataset.time_scale, "dimension": d})
 
 

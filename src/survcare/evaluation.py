@@ -18,12 +18,11 @@ and the true risk function, the error the replication studies report.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, open_output
+from .data import SurvivalDataset, write_table
 
 
 class NoComparablePairsError(ValueError):
@@ -61,12 +60,7 @@ class StepSurvival:
         return float(self.evaluate_many(np.asarray([t]))[0])
 
     def to_csv(self, path) -> None:
-        with open_output(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "survival"])
-            writer.writerow(["0.0", "1.0"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
+        write_table(path, ["t", "survival"], [(0.0, 1.0), *zip(self.times, self.values)])
 
 
 def breslow_survival(data: SurvivalDataset) -> StepSurvival:

@@ -23,6 +23,7 @@ operations are pure, so they can be evaluated concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from dataclasses import dataclass
 
@@ -281,45 +282,30 @@ def constant_norm_squared(config: KernelConfig) -> float:
     return 1.0 / s
 
 
-_VARIANT_NAMES = {
-    GaussianKernel: "gaussian",
-    PolynomialKernel: "polynomial",
-    Sobolev1Kernel: "sobolev1",
-    Sobolev2Kernel: "sobolev2",
-    AdditiveKernel: "additive",
+# The JSON wire format: an object's "variant" names the class, and its other
+# keys are the class's fields, of which those without a default are required.
+_VARIANTS = {
+    "gaussian": GaussianKernel,
+    "polynomial": PolynomialKernel,
+    "sobolev1": Sobolev1Kernel,
+    "sobolev2": Sobolev2Kernel,
+    "additive": AdditiveKernel,
 }
 
 
 def kernel_to_json(config: KernelConfig) -> dict:
-    if isinstance(config, GaussianKernel):
-        out = {"variant": "gaussian", "shift": config.shift}
-        if config.lengthscales is not None:
-            out["lengthscales"] = list(config.lengthscales)
-        else:
-            out["sigma"] = [list(row) for row in config.sigma]
-        return out
-    if isinstance(config, PolynomialKernel):
-        return {"variant": "polynomial", "degree": config.degree, "shift": config.shift}
-    if isinstance(config, (Sobolev1Kernel, Sobolev2Kernel)):
-        return {"variant": _VARIANT_NAMES[type(config)], "shift": config.shift}
-    if isinstance(config, AdditiveKernel):
-        return {
-            "variant": "additive",
-            "summands": [
-                {"coord": c, "kernel": kernel_to_json(sub)} for c, sub in config.summands
-            ],
-        }
-    raise TypeError(f"unknown kernel config {type(config).__name__}")
-
-
-# The keys each variant's JSON object allows and requires, besides "variant".
-_JSON_KEYS = {
-    "gaussian": ({"shift", "lengthscales", "sigma"}, set()),
-    "polynomial": ({"degree", "shift"}, {"degree"}),
-    "sobolev1": ({"shift"}, set()),
-    "sobolev2": ({"shift"}, set()),
-    "additive": ({"summands"}, {"summands"}),
-}
+    """The JSON object of a config: its variant, then each set field (a tuple is an array)."""
+    names = [name for name, cls in _VARIANTS.items() if type(config) is cls]
+    if not names:
+        raise TypeError(f"unknown kernel config {type(config).__name__}")
+    out = {"variant": names[0]}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.name == "summands":
+            value = [{"coord": c, "kernel": kernel_to_json(sub)} for c, sub in value]
+        if value is not None:
+            out[f.name] = value
+    return out
 
 
 def kernel_from_json(obj: dict) -> KernelConfig:
@@ -332,35 +318,27 @@ def kernel_from_json(obj: dict) -> KernelConfig:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise ValueError("kernel config must be an object with a 'variant' key")
     variant = obj["variant"]
-    if not isinstance(variant, str) or variant not in _JSON_KEYS:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ValueError(f"unknown kernel variant {variant!r}")
-    allowed, required = _JSON_KEYS[variant]
-    keys = set(obj) - {"variant"}
-    if not keys <= allowed:
-        raise ValueError(f"unknown kernel keys: {sorted(keys - allowed)}")
-    if not required <= keys:
-        raise ValueError(f"{variant} kernel needs keys: {sorted(required - keys)}")
-    shift = obj.get("shift", 0.0)
-    _check_shift(shift)  # before float(), which would take "1.5" or true
-    shift = float(shift)
-    try:  # tuple(5) and the like raise TypeError
-        if variant == "gaussian":
-            return GaussianKernel(
-                shift=shift,
-                lengthscales=tuple(obj["lengthscales"]) if "lengthscales" in obj else None,
-                sigma=tuple(tuple(r) for r in obj["sigma"]) if "sigma" in obj else None,
-            )
-        if variant == "polynomial":
-            return PolynomialKernel(degree=obj["degree"], shift=shift)
+    fields = dataclasses.fields(_VARIANTS[variant])
+    kwargs = {k: v for k, v in obj.items() if k != "variant"}
+    unknown = set(kwargs) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown kernel keys: {sorted(unknown)}")
+    missing = {f.name for f in fields if f.default is dataclasses.MISSING} - set(kwargs)
+    if missing:
+        raise ValueError(f"{variant} kernel needs keys: {sorted(missing)}")
+    if "shift" in kwargs:
+        _check_shift(kwargs["shift"])  # before float(), which would take "1.5" or true
+        kwargs["shift"] = float(kwargs["shift"])
+    try:  # a summand's unhashable coordinate and the like raise TypeError
         if variant == "additive":
-            summands = obj["summands"]
+            summands = kwargs["summands"]
             if not isinstance(summands, list) or not all(
                     isinstance(s, dict) and set(s) == {"coord", "kernel"} for s in summands):
                 raise ValueError("additive summands must be a list of objects "
                                  "with the keys 'coord' and 'kernel'")
-            return AdditiveKernel(summands=tuple(
-                (s["coord"], kernel_from_json(s["kernel"])) for s in summands))
-        cls = Sobolev1Kernel if variant == "sobolev1" else Sobolev2Kernel
-        return cls(shift=shift)
+            kwargs["summands"] = [(s["coord"], kernel_from_json(s["kernel"])) for s in summands]
+        return _VARIANTS[variant](**kwargs)
     except TypeError as exc:
         raise ValueError(f"malformed {variant} kernel config: {exc}") from None

@@ -31,7 +31,6 @@ selection and makes reruns deterministic.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import operator
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset, open_output
+from .data import SurvivalDataset, write_table
 from .estimators import (
     CenteredExternal,
     KernelEstimator,
@@ -231,23 +230,18 @@ class CvReport:
 
     def to_csv(self, path) -> None:
         num_theta = self.care_thetas.shape[1] if self.care_losses.size else 0
-        theta_cols = [f"theta_{m + 1}" for m in range(num_theta)]
         by_gamma = {e.gamma: e for e in self.gamma_entries}
-        with open_output(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", *theta_cols, "train_loss", "valid_loss", "converged"])
-            if self.care_losses.size:
-                theta_cells = [[repr(t) for t in theta] for theta in self.care_thetas.tolist()]
-                for gamma, losses in zip(self.care_gammas, self.care_losses.tolist()):
-                    g = by_gamma[gamma]
-                    writer.writerows([
-                        repr(gamma), *cells, repr(g.train_loss), repr(loss), int(g.converged),
-                    ] for cells, loss in zip(theta_cells, losses))
-            else:
-                for g in self.gamma_entries:
-                    writer.writerow([
-                        repr(g.gamma), repr(g.train_loss), repr(g.valid_loss), int(g.converged),
-                    ])
+        if self.care_losses.size:
+            thetas = self.care_thetas.tolist()
+            rows = ([gamma, *theta, by_gamma[gamma].train_loss, loss,
+                     int(by_gamma[gamma].converged)]
+                    for gamma, losses in zip(self.care_gammas, self.care_losses.tolist())
+                    for theta, loss in zip(thetas, losses))
+        else:
+            rows = ([g.gamma, g.train_loss, g.valid_loss, int(g.converged)]
+                    for g in self.gamma_entries)
+        write_table(path, ["gamma", *(f"theta_{m + 1}" for m in range(num_theta)),
+                           "train_loss", "valid_loss", "converged"], rows)
 
     def summary(self) -> dict:
         out = {

@@ -418,6 +418,47 @@ class TestEvaluate:
         assert values[0] == 1.0
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_breslow_times_in_file_units(self, tmp_path):
+        data = tmp_path / "days.csv"
+        data.write_text("x1,time,event\n0.1,100,1\n0.2,300,1\n0.3,400,1\n0.4,500,0\n")
+        out = str(tmp_path / "eval")
+        assert main(["evaluate", str(data), "--out", out, "--quiet"]) == 0
+        with open(f"{out}_breslow.csv", newline="") as fh:
+            times = [float(r["t"]) for r in csv.DictReader(fh)]
+        assert times == [0.0, 100.0, 300.0, 400.0]
+
+
+class TestRepeatedColumn:
+    """A header that names a column twice is refused with exit 2, never read."""
+
+    def test_data_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,x,time,event\n0.1,0.9,1,1\n0.2,0.8,2,0\n")
+        cfg = write_json(tmp_path / "fit.json", {"kernel": CV_CONFIG["kernel"], "gamma": 0.1})
+        assert main(["fit", str(data), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {data}: repeated column 'x'\n" in capsys.readouterr().err
+
+    def test_evaluate_predictions(self, tmp_path, simulated, capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("prediction,prediction\n" + "0.5,0.1\n" * 60)
+        code = main(["evaluate", f"{simulated}_data.csv", "--predictions", str(preds),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert f"error: {preds}: repeated column 'prediction'\n" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "eval_metrics.json")
+
+    def test_care_table_external(self, tmp_path, simulated, capsys):
+        table = tmp_path / "ext.csv"
+        table.write_text("prediction,prediction\n" + "0.5,0.1\n" * 60)
+        cfg = dict(CV_CONFIG, externals=[{"name": "tab", "train_table": str(table),
+                                          "valid_table": str(table)}])
+        path = write_json(tmp_path / "care.json", cfg)
+        code = main(["care", f"{simulated}_data.csv", f"{simulated}_data.csv",
+                     "--config", path, "--out", str(tmp_path / "care")])
+        assert code == 2
+        assert f"error: {table}: repeated column 'prediction'\n" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "care_cv.csv")
+
 
 class TestOutputsOverwrittenInPlace:
     """Every command rewrites existing outputs in place, leaving exactly the new bytes."""

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -16,7 +17,7 @@ from survcare import (
     split_train_validation,
     write_csv,
 )
-from survcare.data import open_output, write_json
+from survcare.data import open_output, write_json, write_table
 
 
 def _write(path, text):
@@ -86,6 +87,29 @@ class TestRoundTrip:
         np.testing.assert_array_equal(data.times, [0.25, 1.0])
 
 
+class TestWriteTable:
+    def test_cells_and_line_endings(self, tmp_path):
+        path = tmp_path / "t.csv"
+        floats = [0.1 + 0.2, np.float64(1.0) / 3.0, np.float32(0.1), -1e-300]
+        write_table(path, ["a", "b", "c", "d"], [floats, [7, "s t", np.int64(3), None]])
+        assert path.read_bytes().endswith(b"\r\n7,s t,3,\r\n")
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, cells, verbatim = csv.reader(fh)
+        assert header == ["a", "b", "c", "d"]
+        assert [float(c) for c in cells] == [float(v) for v in floats]
+        assert verbatim == ["7", "s t", "3", ""]
+        assert path.read_bytes().count(b"\r\n") == 3
+
+
+class TestRepeatedColumn:
+    @pytest.mark.parametrize("header", ["x,x,time,event", "x,time,time,event"])
+    def test_load_csv_refuses_a_repeated_name(self, tmp_path, header):
+        path = _write(tmp_path / "d.csv", header + "\n0.1,0.9,1,1\n")
+        name = header.split(",")[1]
+        with pytest.raises(DataFormatError, match=f"d.csv: repeated column '{name}'"):
+            load_csv(path)
+
+
 class TestOpenOutput:
     def test_shorter_rewrite_leaves_only_new_bytes_on_the_same_inode(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -93,14 +117,14 @@ class TestOpenOutput:
         inode = path.stat().st_ino
         with open_output(path) as fh:
             fh.write("new\n")
-        assert path.read_bytes() == ("new" + os.linesep).encode()
+        assert path.read_bytes() == b"new\n"
         assert path.stat().st_ino == inode
 
-    def test_newline_is_passed_to_open(self, tmp_path):
+    def test_newlines_are_written_untranslated(self, tmp_path):
         path = tmp_path / "out.csv"
-        with open_output(path, newline="\r\n") as fh:
-            fh.write("a\nb\n")
-        assert path.read_bytes() == b"a\r\nb\r\n"
+        with open_output(path) as fh:
+            fh.write("a\nb\r\n")
+        assert path.read_bytes() == b"a\nb\r\n"
 
     def test_hard_links_stay_shared(self, tmp_path):
         first = tmp_path / "first.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -332,10 +333,30 @@ class TestConfigValidation:
             AdditiveKernel(summands=())
 
 
+SIGMA_GAUSSIAN = GaussianKernel(shift=0.5, sigma=((2.0, 0.5), (0.5, 1.0)))
+
+# The wire format of every variant, key order included.
+WIRE_FORMAT = [
+    '{"variant": "gaussian", "shift": 1.0, "lengthscales": [1.0, 0.7]}',
+    '{"variant": "polynomial", "degree": 2, "shift": 1.0}',
+    '{"variant": "sobolev1", "shift": 1.0}',
+    '{"variant": "sobolev2", "shift": 0.5}',
+    '{"variant": "additive", "summands": [{"coord": 0, "kernel": {"variant": "sobolev1", '
+    '"shift": 1.0}}, {"coord": 1, "kernel": {"variant": "sobolev2", "shift": 0.0}}]}',
+    '{"variant": "gaussian", "shift": 0.5, "sigma": [[2.0, 0.5], [0.5, 1.0]]}',
+]
+
+
 class TestJson:
-    @pytest.mark.parametrize("config", ALL_VARIANTS)
+    @pytest.mark.parametrize("config", ALL_VARIANTS + [SIGMA_GAUSSIAN])
     def test_round_trip(self, config):
         assert kernel_from_json(kernel_to_json(config)) == config
+
+    @pytest.mark.parametrize("config, text", zip(ALL_VARIANTS + [SIGMA_GAUSSIAN], WIRE_FORMAT),
+                             ids=["gaussian", "polynomial", "sobolev1", "sobolev2", "additive",
+                                  "gaussian_sigma"])
+    def test_wire_format_is_pinned(self, config, text):
+        assert json.dumps(kernel_to_json(config)) == text
 
     def test_wire_format_examples(self):
         assert kernel_from_json({"variant": "sobolev1", "shift": 1.0}) == Sobolev1Kernel(shift=1.0)
