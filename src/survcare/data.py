@@ -59,7 +59,10 @@ class RiskSetIndex:
     ``order`` sorts records by time ascending with ties broken by original row
     index.  ``group_start[p]``/``group_end[p]`` bound the tie group of sorted
     position p, so the risk set of the subject at p is the suffix starting at
-    ``group_start[p]``.
+    ``group_start[p]``.  ``event_positions`` lists the sorted positions of the
+    events, ascending, and ``event_start`` the start of each one's risk set
+    (``group_start[event_sorted]``), so likelihood passes gather them without
+    a boolean mask.
     """
 
     order: np.ndarray
@@ -67,6 +70,8 @@ class RiskSetIndex:
     event_sorted: np.ndarray
     group_start: np.ndarray
     group_end: np.ndarray
+    event_positions: np.ndarray
+    event_start: np.ndarray
 
 
 class SurvivalDataset:
@@ -129,12 +134,16 @@ class SurvivalDataset:
             ts = self.times[order]
             start = np.searchsorted(ts, ts, side="left")
             end = np.searchsorted(ts, ts, side="right") - 1
+            event_sorted = self.events[order]
+            event_positions = np.flatnonzero(event_sorted)
             self._risk_index = RiskSetIndex(
                 order=order,
                 times_sorted=ts,
-                event_sorted=self.events[order],
+                event_sorted=event_sorted,
                 group_start=start,
                 group_end=end,
+                event_positions=event_positions,
+                event_start=start[event_positions],
             )
         return self._risk_index
 

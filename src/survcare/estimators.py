@@ -22,6 +22,8 @@ from .data import SurvivalDataset
 from .kernels import KernelConfig, cross_matrix, kernel_from_json, kernel_to_json
 from .optimizer import OptimOptions, OptimResult, minimize_bfgs
 from .partial_likelihood import (
+    LevelEvaluation,
+    PenalisedPoint,
     PenalisedProblem,
     RepresenterContext,
     neg_log_partial_likelihood,
@@ -37,7 +39,9 @@ class KernelEstimator:
 
     ``kbar_at_basis`` stores the training means kbar(X_j), so predictions at
     new points are automatically centred: the training-sample mean of the
-    fitted function is zero.
+    fitted function is zero.  ``train_loss`` is the unpenalised likelihood of
+    the training data at the fit; like ``fit_warning`` and
+    ``objective_trace`` it is not saved, and an estimator read back has None.
     """
 
     kernel: KernelConfig
@@ -49,6 +53,7 @@ class KernelEstimator:
     hilbert_norm_squared: float = 0.0
     fit_warning: str | None = None
     objective_trace: list[float] | None = None
+    train_loss: float | None = None
 
     def predict_many(self, xs) -> np.ndarray:
         return self._centred_sections(xs) @ self.beta
@@ -99,11 +104,16 @@ class KernelEstimator:
 
 
 def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
-                   options: OptimOptions | None) -> tuple[OptimResult, str | None]:
+                   options: OptimOptions | None) -> tuple[OptimResult, str | None, PenalisedPoint]:
     """Minimise l(D theta) + gamma ||R theta||^2 from ``warm`` (zero when None).
 
     Returns the result in theta coordinates, with the gradient norm and the
-    convergence flag of the penalised gradient, and the fit's warning if any.
+    convergence flag of the penalised gradient, the fit's warning if any, and
+    the solution's ``PenalisedPoint``.  BFGS runs on one ``LevelEvaluation``,
+    so each point it scores costs one likelihood pass, which the gradient at
+    an accepted point reuses.  The final theta-space check reads the
+    solution's point, whose products and pass also give the training loss
+    and the squared norm.
     """
     if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -117,30 +127,32 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
         fit_warning = "all records censored: likelihood is constant, fitted function is zero"
     if m == 0:  # empty basis: the centred span is {0}
         loss = neg_log_partial_likelihood(np.zeros(len(train)), train)
-        return OptimResult(np.zeros(0), loss, 0.0, 0, True, [loss]), fit_warning
+        return (OptimResult(np.zeros(0), loss, 0.0, 0, True, [loss]), fit_warning,
+                PenalisedPoint(problem, init))
     opts = options or OptimOptions()
     # optimise in the preconditioned coordinates; the inner tolerance is
     # tightened by the transform norm so the theta-space gradient meets the
     # requested tolerance
-    scale = problem.scale(gamma)
-    transform_norm = float(np.abs(problem.from_beta * scale[:, None]).sum(axis=0).max())
+    level = LevelEvaluation(problem, gamma)
+    transform_norm = float(np.abs(problem.from_beta * level.scale[:, None]).sum(axis=0).max())
     inner = replace(opts, gradient_tolerance=max(
         opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13))
     result = minimize_bfgs(
-        lambda w: preconditioned_objective(w, problem, gamma),
-        lambda w: preconditioned_gradient(w, problem, gamma),
-        (problem.from_beta @ init) * scale,
+        lambda v: preconditioned_objective(v, level),
+        lambda v: preconditioned_gradient(v, level),
+        (problem.from_beta @ init) * level.scale,
         inner,
     )
-    theta = problem.to_beta @ (result.minimizer / scale)
-    grad_norm = float(np.abs(penalized_gradient(theta, problem, gamma)).max())
+    theta = problem.to_beta @ (result.minimizer / level.scale)
+    final = PenalisedPoint(problem, theta)
+    grad_norm = float(np.abs(penalized_gradient(theta, problem, gamma, final)).max())
     converged = grad_norm <= opts.gradient_tolerance
     if not converged:
         fit_warning = (fit_warning + "; " if fit_warning else "") + (
             f"optimizer did not converge (gradient norm {grad_norm:.3e})"
         )
     return replace(result, minimizer=theta, gradient_norm=grad_norm,
-                   converged=converged), fit_warning
+                   converged=converged), fit_warning, final
 
 
 def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: float,
@@ -150,23 +162,28 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
 
     ``warm`` optionally seeds the optimiser with coefficients from a previous
     fit on the same training data.  A prebuilt RepresenterContext can be
-    passed to share basis and Gram computations across a gamma path.
+    passed to share basis and Gram computations across a gamma path; it must
+    have been built from ``train`` itself and from an equal kernel.
     """
     if ctx is None:
         ctx = RepresenterContext.build(train, kernel)
-    result, fit_warning = _fit_penalised(ctx, gamma, warm, options)
-    beta = result.minimizer
-    w = ctx.from_beta @ beta
+    elif ctx.dataset is not train:
+        raise ValueError("the representer context was built from another dataset")
+    elif ctx.kernel != kernel:
+        raise ValueError(f"the representer context was built with kernel {ctx.kernel!r}, "
+                         f"not {kernel!r}")
+    result, fit_warning, final = _fit_penalised(ctx, gamma, warm, options)
     return KernelEstimator(
         kernel=kernel,
         basis_points=train.covariates[ctx.basis],
-        beta=beta,
+        beta=result.minimizer,
         kbar_at_basis=ctx.kbar[ctx.basis],
         converged=result.converged,
         gradient_norm=result.gradient_norm,
-        hilbert_norm_squared=float(w @ w),
+        hilbert_norm_squared=final.norm_squared(),
         fit_warning=fit_warning,
         objective_trace=result.trace,
+        train_loss=final.likelihood.loss(),
     )
 
 

@@ -71,12 +71,10 @@ def breslow_survival(data: SurvivalDataset) -> StepSurvival:
     """
     idx = data.risk_index()
     n = len(data)
-    ev = idx.event_sorted
-    if not ev.any():
+    if not idx.event_positions.size:
         return StepSurvival(np.empty(0), np.empty(0))
-    event_pos = np.flatnonzero(ev)
-    risk_counts = n - idx.group_start[event_pos]        # #{T_j >= T_i}, ties included
-    event_times = idx.times_sorted[event_pos]
+    risk_counts = n - idx.event_start        # #{T_j >= T_i}, ties included
+    event_times = idx.times_sorted[idx.event_positions]
     jumps, first = np.unique(event_times, return_index=True)
     increments = np.add.reduceat(1.0 / risk_counts, first)
     values = np.exp(-np.cumsum(increments))

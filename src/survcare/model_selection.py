@@ -230,12 +230,15 @@ class CvReport:
 
     def to_csv(self, path) -> None:
         num_theta = self.care_thetas.shape[1] if self.care_losses.size else 0
-        by_gamma = {e.gamma: e for e in self.gamma_entries}
         if self.care_losses.size:
-            thetas = self.care_thetas.tolist()
-            rows = ([gamma, *theta, by_gamma[gamma].train_loss, loss,
-                     int(by_gamma[gamma].converged)]
-                    for gamma, losses in zip(self.care_gammas, self.care_losses.tolist())
+            # each grid point's cells and each level's cells are formatted
+            # once, as write_table formats a float, and reused in every row
+            by_gamma = {e.gamma: e for e in self.gamma_entries}
+            thetas = [[repr(t) for t in theta] for theta in self.care_thetas.tolist()]
+            levels = [(repr(float(g)), repr(float(by_gamma[g].train_loss)),
+                       str(int(by_gamma[g].converged))) for g in self.care_gammas]
+            rows = ([gamma, *theta, train, repr(loss), converged]
+                    for (gamma, train, converged), losses in zip(levels, self.care_losses.tolist())
                     for theta, loss in zip(thetas, losses))
         else:
             rows = ([g.gamma, g.train_loss, g.valid_loss, int(g.converged)]
@@ -278,7 +281,6 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
     for gamma in reversed(grid.values):
         est = fit_kernel_estimator(train, kernel, gamma, options, warm=warm, ctx=ctx)
         warm = est.beta
-        train_loss = neg_log_partial_likelihood(ctx.fitted_values(est.beta), train)
         if valid_sections is None:
             valid_sections = est._centred_sections(valid.covariates)
         preds = valid_sections @ est.beta
@@ -286,7 +288,7 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
         valid_preds[gamma] = preds
         entries[gamma] = GammaEntry(
             gamma=gamma,
-            train_loss=train_loss,
+            train_loss=est.train_loss,
             valid_loss=validation_loss(preds, valid),
             converged=est.converged,
         )

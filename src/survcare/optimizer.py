@@ -4,6 +4,11 @@ The inverse-Hessian approximation is never formed.  It is applied to the
 gradient by the two-loop recursion over the (s, y) pairs accepted since the
 last restart, so an iteration costs O(m k) time and memory for k stored pairs
 in m dimensions, where a dense update costs O(m^2).
+
+The objective is called at every trial point of a line search, and the
+gradient only at the start and at each accepted point, right after the
+objective was called there.  So an objective that remembers its last point
+can hand the gradient the work the two share.
 """
 
 from __future__ import annotations

@@ -14,10 +14,13 @@ in log space instead.  The gradient weights switch to log space when a
 reciprocal risk sum overflows.  Both stay accurate and finite however far f
 spreads.  The core works on values already gathered into the sorted order of
 the dataset's risk index, one vector or one per column of an (n, P) matrix.
-``neg_log_partial_likelihood`` scores exactly one vector: it gathers it and
-calls the core.  The theta scan of ``model_selection``, which scores many
-combinations of the same vectors, gathers those vectors once and passes the
-core blocks of combinations instead.
+One pass of it (the shift, the exponentials, the risk-set suffix sums and
+their logs) is a ``LikelihoodPass``, from which the loss and the gradient
+weights are both read: ``neg_log_partial_likelihood`` and
+``likelihood_gradient_weights`` each run one pass at one vector.  The theta
+scan of ``model_selection``, which scores many combinations of the same
+vectors, gathers those vectors once and passes the core blocks of
+combinations instead.
 
 Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
 columns are basis functions evaluated at the training points, and an
@@ -34,6 +37,11 @@ khat(x, y) = k(x, y) - kbar(x) - kbar(y) + kbar(x) kbar(y) * cns with cns the
 squared Hilbert norm of the constant.  By construction every f_beta has zero
 empirical mean, so the quadratic form is exactly the squared Hilbert norm of
 f_beta and the objective is strongly convex.
+
+A fit scores each point once.  Its ``LevelEvaluation`` runs one likelihood
+pass per point the optimizer scores, and the gradient at the point a line
+search accepts reuses that pass.  At the solution, one ``PenalisedPoint``
+gives the penalised gradient, the training loss and the squared norm.
 
 The basis A holds the training points whose bordered columns (the Gram
 matrix of the constant and the kernel sections) are linearly independent of
@@ -71,15 +79,14 @@ def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
 
     ``fs`` holds f values already in the risk index ``idx``'s sorted order,
     one vector of n values or an (n, P) matrix holding one such vector per
-    column; the work runs down the first axis.  Returns (log_risk,
-    shifted_exp) where log_risk has one row per event at sorted position p
-    and shifted_exp = exp(fs - column max).
+    column; the work runs down the first axis.  Returns (m, log_risk,
+    shifted_exp) where m is the column max, log_risk has one row per event at
+    sorted position p and shifted_exp = exp(fs - m).
     """
     m = fs.max(axis=0)
     shifted = np.exp(fs - m)
     suffix = np.cumsum(shifted[::-1], axis=0)[::-1]
-    starts = idx.group_start[idx.event_sorted]
-    sums = suffix[starts]
+    sums = suffix[idx.event_start]
     with np.errstate(divide="ignore"):
         log_risk = m + np.log(sums)
     normal = sums >= _TINY
@@ -87,14 +94,21 @@ def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
         # a shifted suffix sum below the normal range has lost precision or
         # underflowed to 0; sum those suffixes in log space instead
         log_suffix = np.logaddexp.accumulate(fs[::-1], axis=0)[::-1]
-        log_risk = np.where(normal, log_risk, log_suffix[starts])
-    return log_risk, shifted
+        log_risk = np.where(normal, log_risk, log_suffix[idx.event_start])
+    return m, log_risk, shifted
 
 
 def _column_sums(values: np.ndarray):
     # each column summed as one contiguous row, so with numpy's pairwise
     # summation a column's sum is bit-identical to the sum of it alone
     return np.ascontiguousarray(values.T).sum(axis=-1)
+
+
+def _sorted_loss(fs: np.ndarray, log_risk: np.ndarray, idx: RiskSetIndex):
+    """The loss of each column of ``fs`` from its log risk sums."""
+    n = fs.shape[0]
+    log_s = log_risk - np.log(n)
+    return (_column_sums(log_s) - _column_sums(fs[idx.event_positions])) / n
 
 
 def _sorted_neg_log_partial_likelihood(fs: np.ndarray, idx: RiskSetIndex):
@@ -105,10 +119,50 @@ def _sorted_neg_log_partial_likelihood(fs: np.ndarray, idx: RiskSetIndex):
     their shared parts once.  Each column's loss is bit-identical to the loss
     of that column alone.  Values are not checked.
     """
-    log_risk, _ = _sorted_log_risk_sums(fs, idx)
-    n = fs.shape[0]
-    log_s = log_risk - np.log(n)
-    return (_column_sums(log_s) - _column_sums(fs[idx.event_sorted])) / n
+    return _sorted_loss(fs, _sorted_log_risk_sums(fs, idx)[1], idx)
+
+
+class LikelihoodPass:
+    """One pass over the risk sets at one vector of f values.
+
+    The loss and the gradient weights both read it, so a caller that needs
+    both at one point pays once for the exponentials, the suffix sums and the
+    logs.  ``fs`` holds the values in the risk index's sorted order, ``max``
+    their maximum, ``log_risk`` the log risk sum of each event (sorted
+    positions ascending) and ``shifted`` exp(fs - max).  Values are not
+    checked.
+    """
+
+    def __init__(self, fvalues: np.ndarray, idx: RiskSetIndex):
+        self.idx = idx
+        self.fs = fvalues[idx.order]
+        self.max, self.log_risk, self.shifted = _sorted_log_risk_sums(self.fs, idx)
+
+    def loss(self) -> float:
+        return float(_sorted_loss(self.fs, self.log_risk, self.idx))
+
+    def gradient_weights(self) -> np.ndarray:
+        """Weights u (original record order) such that grad l(M beta) = M' u."""
+        idx, fs, log_risk = self.idx, self.fs, self.log_risk
+        n = fs.shape[0]
+        ev = idx.event_sorted
+        # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
+        # suffix sum, so shifted * cumulative(1/Stilde) stays bounded by 1 per term.
+        inv_sums = np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_sums[idx.event_positions] = np.exp(-(log_risk - self.max))
+            cum = np.cumsum(inv_sums)[idx.group_end]
+            u_sorted = (self.shifted * cum - ev) / n
+        if not np.all(np.isfinite(u_sorted)):
+            # f spreads by more than the exponent range, so some 1/Stilde
+            # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
+            neg_log_sums = np.full(n, -np.inf)
+            neg_log_sums[idx.event_positions] = -log_risk
+            log_cum = np.logaddexp.accumulate(neg_log_sums)[idx.group_end]
+            u_sorted = (np.exp(fs + log_cum) - ev) / n
+        u = np.empty(n)
+        u[idx.order] = u_sorted
+        return u
 
 
 def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
@@ -122,8 +176,7 @@ def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
         raise ValueError(f"expected {len(data)} relative-risk values")
     if not np.all(np.isfinite(fvalues)):
         raise ValueError("relative-risk values must be finite")
-    idx = data.risk_index()
-    return float(_sorted_neg_log_partial_likelihood(fvalues[idx.order], idx))
+    return LikelihoodPass(fvalues, data.risk_index()).loss()
 
 
 def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
@@ -133,30 +186,7 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     first Gateaux derivative of the likelihood with respect to each record's
     function value.
     """
-    fvalues = np.asarray(fvalues, dtype=float)
-    idx = data.risk_index()
-    fs = fvalues[idx.order]
-    log_risk, shifted = _sorted_log_risk_sums(fs, idx)
-    n = len(data)
-    ev = idx.event_sorted
-    # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
-    # suffix sum, so shifted * cumulative(1/Stilde) stays bounded by 1 per term.
-    inv_sums = np.zeros(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if ev.any():
-            inv_sums[ev] = np.exp(-(log_risk - (fs.max())))
-        cum = np.cumsum(inv_sums)[idx.group_end]
-        u_sorted = (shifted * cum - ev) / n
-    if not np.all(np.isfinite(u_sorted)):
-        # f spreads by more than the exponent range, so some 1/Stilde
-        # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
-        neg_log_sums = np.full(n, -np.inf)
-        neg_log_sums[ev] = -log_risk
-        log_cum = np.logaddexp.accumulate(neg_log_sums)[idx.group_end]
-        u_sorted = (np.exp(fs + log_cum) - ev) / n
-    u = np.empty(n)
-    u[idx.order] = u_sorted
-    return u
+    return LikelihoodPass(np.asarray(fvalues, dtype=float), data.risk_index()).gradient_weights()
 
 
 def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,11 +312,13 @@ class RepresenterContext(PenalisedProblem):
 
     ``basis`` indexes the training points whose centred kernel sections span
     the fit, so theta is the coefficient vector beta of the module docstring.
-    The Gram matrix is freed once the design is taken from it.
+    ``kernel`` is the kernel the context was built with.  The Gram matrix is
+    freed once the design is taken from it.
     """
 
     basis: np.ndarray
     kbar: np.ndarray
+    kernel: KernelConfig
 
     @classmethod
     def build(cls, dataset: SurvivalDataset, kernel: KernelConfig) -> "RepresenterContext":
@@ -303,39 +335,94 @@ class RepresenterContext(PenalisedProblem):
         del gram
         basis.flags.writeable = False
         kbar.flags.writeable = False
-        return cls.precondition(dataset, ktilde, factor, basis=basis, kbar=kbar)
+        return cls.precondition(dataset, ktilde, factor, basis=basis, kbar=kbar,
+                                 kernel=kernel)
 
     @property
     def basis_size(self) -> int:
         return self.basis.shape[0]
 
 
-def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float) -> np.ndarray:
+class PenalisedPoint:
+    """Coefficients theta of a problem, with the products and the pass read at it.
+
+    ``fitted`` is D theta, ``root`` is from_beta @ theta and ``likelihood``
+    the pass at the fitted values.  Since from_beta = Q'R with Q orthogonal,
+    ||root||^2 = ||R theta||^2.  A fit reads its penalised gradient, its
+    training loss and its squared norm from one such point.
+    """
+
+    def __init__(self, problem: PenalisedProblem, theta: np.ndarray):
+        self.fitted = problem.fitted_values(theta)
+        self.root = problem.from_beta @ theta
+        self.likelihood = LikelihoodPass(self.fitted, problem.dataset.risk_index())
+
+    def norm_squared(self) -> float:
+        return float(self.root @ self.root)
+
+
+def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float,
+                       point: PenalisedPoint | None = None) -> np.ndarray:
+    """The gradient of l(D beta) + gamma ||R beta||^2 in beta.
+
+    A caller that already holds beta's ``PenalisedPoint`` passes it as
+    ``point``, and its products and likelihood pass are used.
+    """
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    fvals = ctx.design @ beta
-    u = likelihood_gradient_weights(fvals, ctx.dataset)
-    return ctx.design.T @ u + 2.0 * gamma * (ctx.from_beta.T @ (ctx.from_beta @ beta))
+    if point is None:
+        point = PenalisedPoint(ctx, beta)
+    u = point.likelihood.gradient_weights()
+    return ctx.design.T @ u + 2.0 * gamma * (ctx.from_beta.T @ point.root)
 
 
-def preconditioned_objective(v, ctx: PenalisedProblem, gamma: float) -> float:
-    """Penalised objective in the scaled coordinates v (same function values).
+class LevelEvaluation:
+    """One regularisation level of a problem, evaluated in preconditioned coordinates.
 
-    The underlying coefficients are theta = to_beta @ (v / scale(gamma)).
+    A point v stands for w = v / scale and theta = to_beta @ w, where
+    ``scale`` is the level's ``scale(gamma)``, computed once.  The object
+    remembers the last point it scored, with its w and its likelihood pass.
+    A line search asks for the gradient only at the point it accepts, which
+    it has just scored, so ``preconditioned_gradient`` at a point bitwise
+    equal to that one reuses the pass and adds only the weights and the
+    transposed product.  Any other point is scored afresh.
     """
-    v = np.asarray(v, dtype=float)
-    w = v / ctx.scale(gamma)
-    fvals = ctx.prec_design @ w
-    pen = gamma * float(w @ w)
-    return neg_log_partial_likelihood(fvals, ctx.dataset) + pen
+
+    def __init__(self, problem: PenalisedProblem, gamma: float):
+        self.problem = problem
+        self.gamma = gamma
+        self.scale = problem.scale(gamma)
+        self._last = None  # (v's bytes, w, pass) of the last point scored
+
+    def score(self, v) -> tuple[np.ndarray, LikelihoodPass]:
+        """w and the likelihood pass at v, remembered as the last point scored."""
+        v = np.asarray(v, dtype=float)
+        w = v / self.scale
+        fvalues = self.problem.prec_design @ w
+        if not np.all(np.isfinite(fvalues)):
+            raise ValueError("relative-risk values must be finite")
+        self._last = (v.tobytes(), w, LikelihoodPass(fvalues, self.problem.dataset.risk_index()))
+        return self._last[1:]
+
+    def at(self, v) -> tuple[np.ndarray, LikelihoodPass]:
+        """Like ``score``, but reusing the last pass when v is bitwise its point."""
+        v = np.asarray(v, dtype=float)
+        if self._last is not None and self._last[0] == v.tobytes():
+            return self._last[1:]
+        return self.score(v)
 
 
-def preconditioned_gradient(v, ctx: PenalisedProblem, gamma: float) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    scale = ctx.scale(gamma)
-    w = v / scale
-    u = likelihood_gradient_weights(ctx.prec_design @ w, ctx.dataset)
-    return (ctx.prec_design.T @ u + 2.0 * gamma * w) / scale
+def preconditioned_objective(v, level: LevelEvaluation) -> float:
+    """Penalised objective at the level's preconditioned point v (same function values)."""
+    w, likelihood = level.score(v)
+    return likelihood.loss() + level.gamma * float(w @ w)
+
+
+def preconditioned_gradient(v, level: LevelEvaluation) -> np.ndarray:
+    """Gradient of ``preconditioned_objective`` at v."""
+    w, likelihood = level.at(v)
+    design = level.problem.prec_design
+    return (design.T @ likelihood.gradient_weights() + 2.0 * level.gamma * w) / level.scale

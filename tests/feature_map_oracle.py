@@ -104,7 +104,7 @@ def fit_feature_map_estimator(train, kernel: PolynomialKernel, gamma: float,
     penalty = np.eye(u.shape[0]) + np.outer(u, u)
     problem = PenalisedProblem.precondition(
         train, phi[:, :-1] - means[None, :], np.linalg.cholesky(penalty).T)
-    result, fit_warning = _fit_penalised(problem, gamma, warm, options)
+    result, fit_warning, _ = _fit_penalised(problem, gamma, warm, options)
     alpha = result.minimizer
     return FeatureMapEstimator(
         kernel=kernel,

@@ -173,6 +173,17 @@ class TestDatasetInvariants:
         np.testing.assert_array_equal(data.event_order, [3, 1, 0, 2])
         assert np.all(np.diff(data.times[data.event_order]) >= 0)
 
+    @pytest.mark.parametrize("censored", [
+        [False, True, False, False, True, False],
+        [True] * 6,
+    ], ids=["tied", "all_censored"])
+    def test_event_arrays_match_the_event_mask(self, censored):
+        data = SurvivalDataset(np.zeros((6, 1)), [0.5, 0.2, 0.5, 0.2, 1.0, 0.5], censored)
+        idx = data.risk_index()
+        np.testing.assert_array_equal(idx.event_positions, np.flatnonzero(idx.event_sorted))
+        np.testing.assert_array_equal(idx.event_start, idx.group_start[idx.event_sorted])
+        assert idx.event_positions.dtype.kind == idx.event_start.dtype.kind == "i"
+
     def test_arrays_immutable(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.times[0] = 0.5

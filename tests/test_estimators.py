@@ -48,6 +48,21 @@ class TestFitKernelEstimator:
         at_zero = neg_log_partial_likelihood(np.zeros(len(small_dataset)), small_dataset)
         assert fitted <= at_zero
 
+    def test_context_from_other_data_is_refused(self, uni_dgp, sob1):
+        a, _ = simulate_dataset(uni_dgp, 30, 1)
+        b, _ = simulate_dataset(uni_dgp, 30, 2)
+        with pytest.raises(ValueError, match="another dataset"):
+            fit_kernel_estimator(b, sob1, 0.1, ctx=RepresenterContext.build(a, sob1))
+
+    def test_context_with_another_kernel_is_refused(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        with pytest.raises(ValueError, match="kernel"):
+            fit_kernel_estimator(small_dataset, GaussianKernel(shift=1.0, lengthscales=(0.5,)),
+                                 0.1, ctx=ctx)
+        # an equal kernel is the same kernel
+        est = fit_kernel_estimator(small_dataset, Sobolev1Kernel(shift=1.0), 0.1, ctx=ctx)
+        assert est.converged and abs(est.predict_many(small_dataset.covariates).mean()) <= 1e-9
+
     def test_not_in_space_kernel_rejected(self, small_dataset):
         with pytest.raises(NotInSpaceError):
             fit_kernel_estimator(small_dataset, Sobolev1Kernel(shift=0.0), 0.1)

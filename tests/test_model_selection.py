@@ -25,7 +25,14 @@ from survcare import (
     validation_loss,
 )
 from survcare import estimators, model_selection
-from survcare.model_selection import CareEntry, ExternalSpec, _fit_gamma_path, fit_care_path
+from survcare.model_selection import (
+    CareEntry,
+    CvReport,
+    ExternalSpec,
+    GammaEntry,
+    _fit_gamma_path,
+    fit_care_path,
+)
 from theta_grid_oracle import recursive_theta_points
 
 
@@ -449,6 +456,31 @@ class TestCvReport:
         _, report, _ = fit_care_path(train, valid, sob1, SMALL_GRID)
         report.to_csv(path)
         assert path.read_bytes() == csv_bytes_by_row_formula(report)
+
+    def test_csv_bytes_match_a_cell_by_cell_reference(self, tmp_path):
+        # numpy floats in the entries, an unconverged level outside the scan
+        # and thirds on the grid: every float cell is repr(float(v))
+        rng = np.random.default_rng(4)
+        gammas = (1e-5, 0.1, 2.5)
+        entries = [GammaEntry(np.float64(g), np.float64(rng.normal()), float(rng.normal()), c)
+                   for g, c in zip(gammas + (7.0,), (True, False, True, True))]
+        levels = (gammas[0], gammas[2], 7.0)
+        report = CvReport(gamma_entries=entries, care_gammas=levels,
+                          care_thetas=theta_grid(2, 3).points,
+                          care_losses=rng.normal(size=(3, len(theta_grid(2, 3)))))
+        path = tmp_path / "care.csv"
+        report.to_csv(path)
+        sink = io.StringIO(newline="")
+        writer = csv.writer(sink)
+        writer.writerow(["gamma", "theta_1", "theta_2", "train_loss", "valid_loss", "converged"])
+        by_gamma = {e.gamma: e for e in entries}
+        for level, gamma in enumerate(levels):
+            entry = by_gamma[gamma]
+            for p, theta in enumerate(report.care_thetas):
+                writer.writerow([repr(float(v)) for v in (gamma, *theta, entry.train_loss,
+                                                          report.care_losses[level, p])]
+                                + [int(entry.converged)])
+        assert path.read_bytes() == sink.getvalue().encode("utf-8")
 
     def test_d10_theta_scan_retains_little_memory(self):
         # 1,771 weight vectors per level: one object per (level, point)

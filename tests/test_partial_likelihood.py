@@ -20,12 +20,15 @@ from survcare import (
     SurvivalDataset,
     build_representer_basis,
     constant_norm_squared,
+    fit_kernel_estimator,
     gram_matrix,
     neg_log_partial_likelihood,
     penalized_gradient,
     simulate_dataset,
 )
+from survcare import partial_likelihood
 from survcare.partial_likelihood import (
+    LevelEvaluation,
     RepresenterContext,
     _sorted_neg_log_partial_likelihood,
     likelihood_gradient_weights,
@@ -339,15 +342,16 @@ class TestPenalizedGradient:
         gamma = 0.3
         v = rng.normal(size=ctx.basis_size)
         beta = ctx.to_beta @ (v / ctx.scale(gamma))
-        assert preconditioned_objective(v, ctx, gamma) == pytest.approx(
+        level = LevelEvaluation(ctx, gamma)
+        assert preconditioned_objective(v, level) == pytest.approx(
             penalized_objective(beta, ctx, gamma), rel=1e-10)
         h = 1e-6
-        grad = preconditioned_gradient(v, ctx, gamma)
+        grad = preconditioned_gradient(v, level)
         for j in range(0, ctx.basis_size, 7):
             e = np.zeros(ctx.basis_size)
             e[j] = h
-            fd = (preconditioned_objective(v + e, ctx, gamma)
-                  - preconditioned_objective(v - e, ctx, gamma)) / (2 * h)
+            fd = (preconditioned_objective(v + e, level)
+                  - preconditioned_objective(v - e, level)) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=2e-6, abs=1e-9)
 
     def test_round_trip_beta_transforms(self, small_dataset, sob1):
@@ -356,6 +360,122 @@ class TestPenalizedGradient:
         beta = rng.normal(size=ctx.basis_size)
         np.testing.assert_allclose(
             ctx.to_beta @ (ctx.from_beta @ beta), beta, atol=1e-8)
+
+
+def reference_objective(v, ctx, gamma):
+    """The preconditioned objective through the public loss, computed afresh."""
+    w = v / ctx.scale(gamma)
+    return neg_log_partial_likelihood(ctx.prec_design @ w, ctx.dataset) + gamma * float(w @ w)
+
+
+def reference_gradient(v, ctx, gamma):
+    """The preconditioned gradient through the public weights, computed afresh."""
+    scale = ctx.scale(gamma)
+    w = v / scale
+    u = likelihood_gradient_weights(ctx.prec_design @ w, ctx.dataset)
+    return (ctx.prec_design.T @ u + 2.0 * gamma * w) / scale
+
+
+def spread_point(ctx, gamma):
+    """A point whose f values fall by 4000 along the time order.
+
+    The late events' shifted risk sums underflow, which takes the loss's log
+    space path, and their reciprocals overflow, which takes the weights'.
+    """
+    idx = ctx.dataset.risk_index()
+    target = np.empty(len(ctx.dataset))
+    target[idx.order] = np.linspace(2000.0, -2000.0, len(ctx.dataset))
+    w = np.linalg.lstsq(ctx.prec_design, target - target.mean(), rcond=None)[0]
+    return w * ctx.scale(gamma)
+
+
+@pytest.fixture
+def pass_count(monkeypatch):
+    """The number of risk-set passes run since the fixture was set up."""
+    calls = []
+    original = partial_likelihood._sorted_log_risk_sums
+
+    def counting(fs, idx):
+        calls.append(None)
+        return original(fs, idx)
+
+    monkeypatch.setattr(partial_likelihood, "_sorted_log_risk_sums", counting)
+    return lambda: len(calls)
+
+
+class TestLevelEvaluation:
+    GAMMA = 0.3
+
+    def test_matches_the_public_formulas_bitwise(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        rng = np.random.default_rng(11)
+        points = [rng.normal(size=ctx.basis_size) * s for s in (0.1, 1.0, 30.0)]
+        points.append(spread_point(ctx, self.GAMMA))
+        for v in points:
+            level = LevelEvaluation(ctx, self.GAMMA)
+            objective = preconditioned_objective(v, level)
+            gradient = preconditioned_gradient(v, level)  # reuses the objective's pass
+            fresh = preconditioned_gradient(v, LevelEvaluation(ctx, self.GAMMA))
+            assert objective == reference_objective(v, ctx, self.GAMMA)
+            assert gradient.tobytes() == reference_gradient(v, ctx, self.GAMMA).tobytes()
+            assert gradient.tobytes() == fresh.tobytes()
+            assert np.isfinite(objective) and np.all(np.isfinite(gradient))
+
+    def test_spread_point_takes_both_log_space_paths(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        level = LevelEvaluation(ctx, self.GAMMA)
+        _, likelihood = level.score(spread_point(ctx, self.GAMMA))
+        idx = small_dataset.risk_index()
+        suffix = np.cumsum(likelihood.shifted[::-1])[::-1][idx.event_start]
+        assert (suffix < np.finfo(float).tiny).any()
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(np.exp(-(likelihood.log_risk - likelihood.max))))
+
+    def test_gradient_elsewhere_is_recomputed(self, small_dataset, sob1, pass_count):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        level = LevelEvaluation(ctx, self.GAMMA)
+        v = np.random.default_rng(12).normal(size=ctx.basis_size)
+        preconditioned_objective(v, level)
+        at_v = preconditioned_gradient(v, level)
+        assert pass_count() == 1
+        elsewhere = v + 1.0
+        at_elsewhere = preconditioned_gradient(elsewhere, level)
+        assert pass_count() == 2
+        # one ulp away, or a signed zero, is a different point bit for bit
+        nudged = elsewhere.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        preconditioned_gradient(nudged, level)
+        assert pass_count() == 3
+        zero = np.zeros(ctx.basis_size)
+        preconditioned_objective(zero, level)
+        preconditioned_gradient(-zero, level)
+        assert pass_count() == 5
+        assert at_elsewhere.tobytes() == reference_gradient(elsewhere, ctx, self.GAMMA).tobytes()
+        assert at_elsewhere.tobytes() != at_v.tobytes()
+
+    def test_one_pass_per_objective_evaluation_in_a_fit(self, monkeypatch, small_dataset,
+                                                        sob1, pass_count):
+        from survcare import estimators
+
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        evaluations = {"objective": 0, "gradient": 0}
+        for name in evaluations:
+            original = getattr(estimators, f"preconditioned_{name}")
+
+            def counting(v, level, name=name, original=original):
+                evaluations[name] += 1
+                return original(v, level)
+
+            monkeypatch.setattr(estimators, f"preconditioned_{name}", counting)
+        est = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx)
+        assert est.converged and evaluations["gradient"] > 1
+        # the final theta-space check is the one pass outside BFGS
+        assert pass_count() == evaluations["objective"] + 1
+        # the training loss and the norm come from that check's point
+        assert est.train_loss == neg_log_partial_likelihood(
+            ctx.fitted_values(est.beta), small_dataset)
+        w = ctx.from_beta @ est.beta
+        assert est.hilbert_norm_squared == float(w @ w)
 
 
 class TestMultivariateContext:
