@@ -256,13 +256,12 @@ def write_table(path, header, rows) -> None:
 
 
 def write_csv(dataset: SurvivalDataset, path) -> None:
-    """Write a dataset with de-normalised times plus a JSON metadata sidecar."""
+    """Write a dataset with its times de-normalised to file units."""
     d = dataset.dimension
     write_table(path, [f"x{j + 1}" for j in range(d)] + ["time", "event"], (
         [*x, t, int(e)] for x, t, e in zip(dataset.covariates.tolist(),
                                            (dataset.times * dataset.time_scale).tolist(),
                                            dataset.events.tolist())))
-    write_json(f"{path}.meta.json", {"time_scale": dataset.time_scale, "dimension": d})
 
 
 def write_json(path, obj) -> None:

@@ -111,14 +111,14 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     convergence flag of the penalised gradient, the fit's warning if any, and
     the solution's ``PenalisedPoint``.  BFGS runs on one ``LevelEvaluation``,
     so each point it scores costs one likelihood pass, which the gradient at
-    an accepted point reuses.  The final theta-space check reads the
-    solution's point, whose products and pass also give the training loss
-    and the squared norm.
+    an accepted point reuses.  The final theta-space check reads the point at
+    from_beta @ theta, whose pass also gives the training loss and whose w
+    the squared norm.
     """
     if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     train = problem.dataset
-    m = problem.design.shape[1]
+    m = problem.prec_design.shape[1]
     init = np.zeros(m) if warm is None else np.asarray(warm, dtype=float)
     if init.shape != (m,):
         raise ValueError(f"warm start must have length {m}")
@@ -144,7 +144,7 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
         inner,
     )
     theta = problem.to_beta @ (result.minimizer / level.scale)
-    final = PenalisedPoint(problem, theta)
+    final = PenalisedPoint(problem, problem.from_beta @ theta)
     grad_norm = float(np.abs(penalized_gradient(theta, problem, gamma, final)).max())
     converged = grad_norm <= opts.gradient_tolerance
     if not converged:

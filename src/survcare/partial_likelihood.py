@@ -26,7 +26,8 @@ Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
 columns are basis functions evaluated at the training points, and an
 upper-triangular factor R of their Gram form in the Hilbert space
 (``PenalisedProblem``).  The penalty is R'R by definition; no m x m penalty
-matrix is stored.  Over representer coefficients beta indexed by the basis A
+matrix is stored, and D is kept only as its exact image in preconditioned
+coordinates.  Over representer coefficients beta indexed by the basis A
 (``RepresenterContext``) this is
 
     l(f_beta) + gamma * sum_{i,j in A} khat(X_i, X_j) beta_i beta_j
@@ -38,9 +39,10 @@ squared Hilbert norm of the constant.  By construction every f_beta has zero
 empirical mean, so the quadratic form is exactly the squared Hilbert norm of
 f_beta and the objective is strongly convex.
 
-A fit scores each point once.  Its ``LevelEvaluation`` runs one likelihood
-pass per point the optimizer scores, and the gradient at the point a line
-search accepts reuses that pass.  At the solution, one ``PenalisedPoint``
+A fit scores each point once.  Every point is one ``PenalisedPoint``, with its
+fitted values, its likelihood pass and the one gradient formula.  A fit's
+``LevelEvaluation`` scores the optimizer's points, and the gradient at the
+point a line search accepts reuses that pass; at the solution, one more point
 gives the penalised gradient, the training loss and the squared norm.
 
 The basis A holds the training points whose bordered columns (the Gram
@@ -249,11 +251,13 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
 class PenalisedProblem:
     """The objective l(D theta) + gamma ||R theta||^2 on one training dataset.
 
-    D (``design``, n x m) holds per-record values of m basis functions and R
-    is an exact upper-triangular factor of their positive definite Gram form,
-    so every fitting route is one choice of (D, R).  The penalty is R'R by
-    definition: no m x m penalty matrix is formed or stored, and
-    ``from_beta`` carries R.  Everything stored is gamma-independent, so one
+    D (n x m) holds per-record values of m basis functions and R is an exact
+    upper-triangular factor of their positive definite Gram form, so every
+    fitting route is one choice of (D, R).  The penalty is R'R by definition:
+    no m x m penalty matrix is formed or stored, and ``from_beta`` carries R.
+    Nor is D: the one n x m array kept is its preconditioned image
+    ``prec_design``, and D theta = prec_design @ (from_beta @ theta).
+    Everything stored is gamma-independent, so one
     problem serves a whole regularisation path.  Immutable after
     construction.
 
@@ -271,8 +275,7 @@ class PenalisedProblem:
     """
 
     dataset: SurvivalDataset
-    design: np.ndarray        # D, n x m
-    prec_design: np.ndarray   # D in preconditioned coordinates
+    prec_design: np.ndarray   # D @ to_beta, n x m
     curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
     to_beta: np.ndarray       # theta = to_beta @ w
     from_beta: np.ndarray     # w = from_beta @ theta = Q' R theta
@@ -293,13 +296,10 @@ class PenalisedProblem:
         to_beta = factor_inv @ rot
         del factor_inv
         from_beta = rot.T @ factor
-        arrays = (design, prec_design, curvature, to_beta, from_beta)
+        arrays = (prec_design, curvature, to_beta, from_beta)
         for arr in arrays:
             arr.flags.writeable = False
         return cls(dataset, *arrays, **fields)
-
-    def fitted_values(self, theta) -> np.ndarray:
-        return self.design @ np.asarray(theta, dtype=float)
 
     def scale(self, gamma: float) -> np.ndarray:
         """Per-coordinate scaling sqrt(2 gamma + curvature) for one level."""
@@ -312,8 +312,8 @@ class RepresenterContext(PenalisedProblem):
 
     ``basis`` indexes the training points whose centred kernel sections span
     the fit, so theta is the coefficient vector beta of the module docstring.
-    ``kernel`` is the kernel the context was built with.  The Gram matrix is
-    freed once the design is taken from it.
+    ``kernel`` is the kernel the context was built with.  The Gram matrix and
+    the design are freed once the problem is built.
     """
 
     basis: np.ndarray
@@ -344,29 +344,36 @@ class RepresenterContext(PenalisedProblem):
 
 
 class PenalisedPoint:
-    """Coefficients theta of a problem, with the products and the pass read at it.
+    """One point w = from_beta @ theta of a problem, with the pass read at it.
 
-    ``fitted`` is D theta, ``root`` is from_beta @ theta and ``likelihood``
-    the pass at the fitted values.  Since from_beta = Q'R with Q orthogonal,
-    ||root||^2 = ||R theta||^2.  A fit reads its penalised gradient, its
-    training loss and its squared norm from one such point.
+    ``fitted`` is D theta = prec_design @ w, which must be finite, and
+    ``likelihood`` the pass there.  Since from_beta = Q'R with Q orthogonal,
+    ||w||^2 = ||R theta||^2, so the objective is l(prec_design @ w) +
+    gamma w'w, and ``gradient`` is its gradient in w.
     """
 
-    def __init__(self, problem: PenalisedProblem, theta: np.ndarray):
-        self.fitted = problem.fitted_values(theta)
-        self.root = problem.from_beta @ theta
+    def __init__(self, problem: PenalisedProblem, w: np.ndarray):
+        self.problem = problem
+        self.w = w
+        self.fitted = problem.prec_design @ w
+        if not np.all(np.isfinite(self.fitted)):
+            raise ValueError("relative-risk values must be finite")
         self.likelihood = LikelihoodPass(self.fitted, problem.dataset.risk_index())
 
+    def gradient(self, gamma: float) -> np.ndarray:
+        weights = self.likelihood.gradient_weights()
+        return self.problem.prec_design.T @ weights + 2.0 * gamma * self.w
+
     def norm_squared(self) -> float:
-        return float(self.root @ self.root)
+        return float(self.w @ self.w)
 
 
 def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float,
                        point: PenalisedPoint | None = None) -> np.ndarray:
     """The gradient of l(D beta) + gamma ||R beta||^2 in beta.
 
-    A caller that already holds beta's ``PenalisedPoint`` passes it as
-    ``point``, and its products and likelihood pass are used.
+    It is from_beta' times the gradient at the point w = from_beta @ beta,
+    which a caller that already holds it passes as ``point``.
     """
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
@@ -374,55 +381,49 @@ def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float,
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
     if point is None:
-        point = PenalisedPoint(ctx, beta)
-    u = point.likelihood.gradient_weights()
-    return ctx.design.T @ u + 2.0 * gamma * (ctx.from_beta.T @ point.root)
+        point = PenalisedPoint(ctx, ctx.from_beta @ beta)
+    return ctx.from_beta.T @ point.gradient(gamma)
 
 
 class LevelEvaluation:
     """One regularisation level of a problem, evaluated in preconditioned coordinates.
 
-    A point v stands for w = v / scale and theta = to_beta @ w, where
-    ``scale`` is the level's ``scale(gamma)``, computed once.  The object
-    remembers the last point it scored, with its w and its likelihood pass.
-    A line search asks for the gradient only at the point it accepts, which
-    it has just scored, so ``preconditioned_gradient`` at a point bitwise
-    equal to that one reuses the pass and adds only the weights and the
-    transposed product.  Any other point is scored afresh.
+    A point v stands for the ``PenalisedPoint`` at w = v / scale, so theta =
+    to_beta @ w, where ``scale`` is the level's ``scale(gamma)``, computed
+    once.  The object remembers the last point it scored.  A line search asks
+    for the gradient only at the point it accepts, which it has just scored,
+    so ``preconditioned_gradient`` at a point bitwise equal to that one
+    reuses its pass and adds only the weights and the transposed product.
+    Any other point is scored afresh.
     """
 
     def __init__(self, problem: PenalisedProblem, gamma: float):
         self.problem = problem
         self.gamma = gamma
         self.scale = problem.scale(gamma)
-        self._last = None  # (v's bytes, w, pass) of the last point scored
+        self._last = None  # (v's bytes, its PenalisedPoint) of the last point scored
 
-    def score(self, v) -> tuple[np.ndarray, LikelihoodPass]:
-        """w and the likelihood pass at v, remembered as the last point scored."""
+    def score(self, v) -> PenalisedPoint:
+        """The point at v, remembered as the last point scored."""
         v = np.asarray(v, dtype=float)
-        w = v / self.scale
-        fvalues = self.problem.prec_design @ w
-        if not np.all(np.isfinite(fvalues)):
-            raise ValueError("relative-risk values must be finite")
-        self._last = (v.tobytes(), w, LikelihoodPass(fvalues, self.problem.dataset.risk_index()))
-        return self._last[1:]
+        point = PenalisedPoint(self.problem, v / self.scale)
+        self._last = (v.tobytes(), point)
+        return point
 
-    def at(self, v) -> tuple[np.ndarray, LikelihoodPass]:
-        """Like ``score``, but reusing the last pass when v is bitwise its point."""
+    def at(self, v) -> PenalisedPoint:
+        """Like ``score``, but returning the last point when v is bitwise its v."""
         v = np.asarray(v, dtype=float)
         if self._last is not None and self._last[0] == v.tobytes():
-            return self._last[1:]
+            return self._last[1]
         return self.score(v)
 
 
 def preconditioned_objective(v, level: LevelEvaluation) -> float:
     """Penalised objective at the level's preconditioned point v (same function values)."""
-    w, likelihood = level.score(v)
-    return likelihood.loss() + level.gamma * float(w @ w)
+    point = level.score(v)
+    return point.likelihood.loss() + level.gamma * point.norm_squared()
 
 
 def preconditioned_gradient(v, level: LevelEvaluation) -> np.ndarray:
     """Gradient of ``preconditioned_objective`` at v."""
-    w, likelihood = level.at(v)
-    design = level.problem.prec_design
-    return (design.T @ likelihood.gradient_weights() + 2.0 * level.gamma * w) / level.scale
+    return level.at(v).gradient(level.gamma) / level.scale

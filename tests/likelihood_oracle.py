@@ -7,13 +7,16 @@ in O(n^2).  Log-sums go through ``np.logaddexp.reduce``, so they stay finite
 at any spread of f.  ``penalized_objective`` is the penalised objective in
 theta coordinates, with the penalty ||R theta||^2 that defines the problem,
 the function whose finite differences check the library's analytic
-``penalized_gradient``.
+``penalized_gradient``.  Its design is ``ktilde_design``, the centred kernel
+sections formed afresh from the kernel, so it does not read the design the
+library stores in preconditioned coordinates.
 """
 
 import math
 
 import numpy as np
 
+from survcare.kernels import gram_matrix
 from survcare.partial_likelihood import neg_log_partial_likelihood
 
 
@@ -41,13 +44,24 @@ def naive_gradient_weights(f, data):
     return u / len(data)
 
 
+def ktilde_design(ctx):
+    """D = ktilde over a representer context's basis, from a fresh Gram matrix."""
+    gram = gram_matrix(ctx.kernel, ctx.dataset.covariates)
+    return gram[:, ctx.basis] - ctx.kbar[ctx.basis]
+
+
+def fitted_values(ctx, beta):
+    """The training values D beta of f_beta, through ``ktilde_design``."""
+    return ktilde_design(ctx) @ np.asarray(beta, dtype=float)
+
+
 def penalized_objective(beta, ctx, gamma: float) -> float:
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    fvals = ctx.design @ beta
+    fvals = fitted_values(ctx, beta)
     w = ctx.from_beta @ beta  # Q' R theta, with Q orthogonal
     pen = gamma * float(w @ w)
     return neg_log_partial_likelihood(fvals, ctx.dataset) + pen

@@ -42,7 +42,6 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
         assert set(rows[0]) == {"x1", "f0"}
-        assert os.path.exists(f"{simulated}_data.csv.meta.json")
 
     def test_negative_n_exit_2_names_field(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bad.json", {"dgp": "univariate", "n": -3})

@@ -74,10 +74,6 @@ class TestRoundTrip:
         np.testing.assert_allclose(again.times, small_dataset.times, rtol=1e-12)
         np.testing.assert_array_equal(again.censored, small_dataset.censored)
         np.testing.assert_allclose(again.covariates, small_dataset.covariates, rtol=1e-12)
-        with open(path + ".meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        assert meta["dimension"] == small_dataset.dimension
-        assert meta["time_scale"] == pytest.approx(small_dataset.time_scale)
 
     def test_normalisation_idempotent(self, tmp_path):
         path = _write(tmp_path / "d.csv",

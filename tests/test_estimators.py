@@ -6,6 +6,7 @@ import pytest
 from basis_oracle import rref_basis_and_factor
 from conftest import all_censored_dataset
 from feature_map_oracle import feature_matrix, fit_feature_map_estimator
+from likelihood_oracle import fitted_values
 from survcare import (
     CenteredExternal,
     DgpConfig,
@@ -43,7 +44,7 @@ class TestFitKernelEstimator:
     def test_objective_beats_zero(self, small_dataset, sob1):
         ctx = RepresenterContext.build(small_dataset, sob1)
         est = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx)
-        fitted = neg_log_partial_likelihood(ctx.fitted_values(est.beta), small_dataset) \
+        fitted = neg_log_partial_likelihood(fitted_values(ctx, est.beta), small_dataset) \
             + 0.05 * est.hilbert_norm_squared
         at_zero = neg_log_partial_likelihood(np.zeros(len(small_dataset)), small_dataset)
         assert fitted <= at_zero
@@ -149,7 +150,7 @@ class TestPredict:
     def test_training_point_matches_internal_fit_values(self, small_dataset, sob1):
         ctx = RepresenterContext.build(small_dataset, sob1)
         est = fit_kernel_estimator(small_dataset, sob1, 0.2, ctx=ctx)
-        internal = ctx.fitted_values(est.beta)
+        internal = fitted_values(ctx, est.beta)
         external = est.predict_many(small_dataset.covariates)
         np.testing.assert_allclose(external, internal, atol=1e-12)
 
@@ -170,13 +171,13 @@ class TestUniquenessAndRegularisation:
         est1 = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx)
         est2 = fit_kernel_estimator(small_dataset, sob1, 0.05, ctx=ctx,
                                     warm=rng.normal(0, 1, ctx.basis_size))
-        obj1 = neg_log_partial_likelihood(ctx.fitted_values(est1.beta), small_dataset) \
+        obj1 = neg_log_partial_likelihood(fitted_values(ctx, est1.beta), small_dataset) \
             + 0.05 * est1.hilbert_norm_squared
-        obj2 = neg_log_partial_likelihood(ctx.fitted_values(est2.beta), small_dataset) \
+        obj2 = neg_log_partial_likelihood(fitted_values(ctx, est2.beta), small_dataset) \
             + 0.05 * est2.hilbert_norm_squared
         assert abs(obj1 - obj2) <= 1e-9
         np.testing.assert_allclose(
-            ctx.fitted_values(est1.beta), ctx.fitted_values(est2.beta), atol=1e-6)
+            fitted_values(ctx, est1.beta), fitted_values(ctx, est2.beta), atol=1e-6)
 
     def test_hilbert_norm_monotone_in_gamma(self, uni_dgp):
         data, _ = simulate_dataset(uni_dgp, 120, 9)

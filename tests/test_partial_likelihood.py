@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from basis_oracle import bordered_matrix, khat_matrix, rref_pivot_columns
 from conftest import all_censored_dataset
 from likelihood_oracle import (
+    fitted_values,
+    ktilde_design,
     naive_gradient_weights,
     naive_neg_log_partial_likelihood,
     penalized_objective,
@@ -269,7 +271,7 @@ class TestPenalizedObjective:
         rng = np.random.default_rng(2)
         for gamma in (1e-2, 1.0):
             beta = rng.normal(0, 1, ctx.basis_size)
-            fvals = ctx.fitted_values(beta)
+            fvals = fitted_values(ctx, beta)
             assert abs(fvals.mean()) <= 1e-10  # P_n(f_beta) = 0
             oracle = neg_log_partial_likelihood(fvals, small_dataset) \
                 + gamma * bordered_norm_oracle(ctx, sob1, beta)
@@ -296,7 +298,8 @@ class TestPenalizedObjective:
             penalized_objective(np.zeros(ctx.basis_size), ctx, 0.0)
 
     def test_centering_of_ktilde_columns(self, ctx):
-        assert np.abs(ctx.design.mean(axis=0)).max() <= 1e-10
+        # prec_design = ktilde @ to_beta, so its columns are centred with ktilde's
+        assert np.abs(ctx.prec_design.mean(axis=0)).max() <= 1e-10
 
     def test_khat_symmetric_psd(self, ctx, sob1):
         khat = khat_reference(ctx, sob1)
@@ -319,6 +322,17 @@ class TestPenalizedGradient:
                 fd = (penalized_objective(beta + e, ctx, gamma)
                       - penalized_objective(beta - e, ctx, gamma)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", [1e-5, 1e-2, 1.0])
+    def test_matches_the_exact_formula(self, ctx, sob1, gamma):
+        # every coordinate against ktilde' u + 2 gamma khat beta, with D and
+        # khat formed afresh from the kernel
+        beta = np.random.default_rng(8).normal(0, 0.5, ctx.basis_size)
+        ktilde = ktilde_design(ctx)
+        exact = ktilde.T @ likelihood_gradient_weights(ktilde @ beta, ctx.dataset) \
+            + 2.0 * gamma * (khat_reference(ctx, sob1) @ beta)
+        grad = penalized_gradient(beta, ctx, gamma)
+        assert np.abs(grad - exact).max() <= 1e-9 * np.abs(exact).max()
 
     def test_all_censored_gradient_is_penalty_only(self, sob1):
         data = all_censored_dataset()
@@ -424,7 +438,7 @@ class TestLevelEvaluation:
     def test_spread_point_takes_both_log_space_paths(self, small_dataset, sob1):
         ctx = RepresenterContext.build(small_dataset, sob1)
         level = LevelEvaluation(ctx, self.GAMMA)
-        _, likelihood = level.score(spread_point(ctx, self.GAMMA))
+        likelihood = level.score(spread_point(ctx, self.GAMMA)).likelihood
         idx = small_dataset.risk_index()
         suffix = np.cumsum(likelihood.shifted[::-1])[::-1][idx.event_start]
         assert (suffix < np.finfo(float).tiny).any()
@@ -473,7 +487,7 @@ class TestLevelEvaluation:
         assert pass_count() == evaluations["objective"] + 1
         # the training loss and the norm come from that check's point
         assert est.train_loss == neg_log_partial_likelihood(
-            ctx.fitted_values(est.beta), small_dataset)
+            ctx.prec_design @ (ctx.from_beta @ est.beta), small_dataset)
         w = ctx.from_beta @ est.beta
         assert est.hilbert_norm_squared == float(w @ w)
 
@@ -488,14 +502,14 @@ class TestMultivariateContext:
         ctx = RepresenterContext.build(data, kernel)
         assert 1 <= ctx.basis_size <= 30
         beta = np.linspace(-1, 1, ctx.basis_size)
-        assert abs(ctx.fitted_values(beta).mean()) <= 1e-9
+        assert abs(fitted_values(ctx, beta).mean()) <= 1e-9
 
 
 def test_context_retains_only_what_a_fit_reads():
     # the d=10 Gaussian setting of the care_d10_theta benchmark workload,
-    # where every training point enters the basis.  A fit reads two n x m
-    # designs and two m x m transforms; keeping the n x n Gram matrix or an
-    # m x m penalty as well would exceed the bound
+    # where every training point enters the basis.  A fit reads one n x m
+    # design and two m x m transforms; keeping the n x n Gram matrix, a
+    # second n x m design or an m x m penalty as well would exceed the bound
     data, _ = simulate_dataset(DgpConfig("multivariate_d10"), 400, 1)
     kernel = GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10)
     tracemalloc.start()
@@ -507,4 +521,4 @@ def test_context_retains_only_what_a_fit_reads():
         tracemalloc.stop()
     n, m = len(data), ctx.basis_size
     assert m == n
-    assert retained <= 1.1 * 8 * (2 * n * m + 2 * m * m)
+    assert retained <= 1.1 * 8 * (n * m + 2 * m * m)
