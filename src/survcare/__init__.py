@@ -17,11 +17,7 @@ from .data import (
     split_train_validation,
     write_csv,
 )
-from .estimators import (
-    CenteredExternal,
-    KernelEstimator,
-    fit_kernel_estimator,
-)
+from .estimators import KernelEstimator, fit_kernel_estimator
 from .evaluation import (
     NoComparablePairsError,
     StepSurvival,
@@ -46,6 +42,7 @@ from .kernels import (
 from .model_selection import (
     AllFitsFailed,
     CareEstimator,
+    CenteredExternal,
     CvReport,
     ExternalSpec,
     GammaGrid,

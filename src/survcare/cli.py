@@ -15,6 +15,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 import jsonschema
 import numpy as np
@@ -31,7 +32,7 @@ from .data import (
 )
 from .estimators import fit_kernel_estimator
 from .evaluation import StepSurvival, _mc_design, breslow_survival, concordance_index, l2_error_mc
-from .kernels import NotInSpaceError, constant_norm_squared, kernel_from_json
+from .kernels import NotInSpaceError, constant_norm_squared, cross_matrix, kernel_from_json
 from .model_selection import (
     AllFitsFailed,
     ExternalSpec,
@@ -316,22 +317,10 @@ def _fit_and_write(args, command: str):
                "predictions": f"{args.out}_predictions.csv"}
     report.to_csv(outputs["cv"])
     write_json(outputs["selection"], report.summary())
-    kernel_weight = 1.0 - sum(care.theta)
-    sections = []
-    for role, ds, ext_values in (
-        ("train", train, [sp.train_values for sp in externals]),
-        ("valid", valid, [sp.valid_values for sp in externals]),
-    ):
-        preds = kernel_weight * care.kernel_estimator.predict_many(ds.covariates)
-        for w, ext, spec, table in zip(care.theta, care.externals, externals, ext_values):
-            if w == 0.0:
-                continue
-            if spec.fn is not None:
-                preds = preds + w * ext.predict_many(ds.covariates)
-            else:
-                preds = preds + w * (np.asarray(table) - ext.training_mean)
-        sections.append((role, preds))
-    _write_predictions(outputs["predictions"], sections)
+    _write_predictions(outputs["predictions"], [
+        (role, care.combine(care.kernel_estimator.predict_many(ds.covariates), values))
+        for role, ds, values in (("train", train, attrgetter("train_values")),
+                                 ("valid", valid, attrgetter("valid_values")))])
     return care, outputs
 
 
@@ -402,11 +391,8 @@ def _study_replication(payload: dict) -> dict:
         train, valid = split_train_validation(data, _derive_seed(master, n, rep, 1))
         mc_seed = _derive_seed(master, n, rep, 2)
 
-        externals = []
-        thetas = None
-        if payload["use_external"]:
-            externals = [ExternalSpec(name="dgp_external", fn=truth.external)]
-            thetas = theta_grid(1, payload["theta_resolution"])
+        thetas = payload["thetas"]
+        externals = [ExternalSpec(name="dgp_external", fn=truth.external)] if thetas else []
         care, report, fits = fit_care_path(train, valid, kernel, grid, externals,
                                            thetas, options)
 
@@ -432,12 +418,12 @@ def _study_replication(payload: dict) -> dict:
              "l2_error": errors[gamma_star], "gamma": gamma_star, "theta": ()},
         ]
         if externals:
-            ext = care.externals[0]
+            ext_values = care.externals[0].predict_many(xs)
+            care_values = care.combine(sections @ care.kernel_estimator.beta, lambda _: ext_values)
             rows.append({"n": n, "rep": rep, "estimator": "care",
-                         "l2_error": l2(care.combine(sections @ care.kernel_estimator.beta, xs)),
-                         "gamma": care.gamma, "theta": care.theta})
+                         "l2_error": l2(care_values), "gamma": care.gamma, "theta": care.theta})
             rows.append({"n": n, "rep": rep, "estimator": "external",
-                         "l2_error": l2(ext.predict_many(xs)), "gamma": None, "theta": ()})
+                         "l2_error": l2(ext_values), "gamma": None, "theta": ()})
         return {"n": n, "rep": rep, "rows": rows, "error": None}
     except Exception as exc:  # replication failures are recorded, not fatal
         return {"n": n, "rep": rep, "rows": [], "error": f"{type(exc).__name__}: {exc}"}
@@ -450,16 +436,21 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     replication is seeded independently from (seed, n, rep) and rows are
     assembled in sorted order.  At most one worker process per replication is
     started; ``workers`` below 1 is a configuration error.  The generator,
-    kernel, gamma grid and optimizer options are parsed once, and the sample
-    sizes checked against numpy's array size limit, before any replication
-    runs, so a bad config raises here instead of failing every replication.
+    kernel, gamma grid, theta grid and optimizer options are built once, the
+    kernel checked against the generator's dimension, and the sample sizes
+    checked against numpy's array size limit, before any replication runs,
+    so a bad config raises here instead of failing every replication.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     dgp = DgpConfig(config["dgp"])
     kernel = _kernel(config["kernel"])
     constant_norm_squared(kernel)
+    # the kernel's own check that it fits the generator's dimension
+    cross_matrix(kernel, np.zeros((1, dgp.dimension)), np.zeros((1, dgp.dimension)))
     grid = _gamma_grid(config["gamma_grid"])
+    thetas = theta_grid(1, config.get("theta_resolution", 20)) \
+        if config.get("use_external", False) else None
     options = _optimizer(config.get("optimizer"))
     mc_points = config.get("mc_points", 500)
     # numpy refuses an array of more than np.iinfo(np.intp).max bytes, so a
@@ -480,8 +471,7 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
             "n": n,
             "rep": rep,
             "seed": config.get("seed", 0),
-            "use_external": config.get("use_external", False),
-            "theta_resolution": config.get("theta_resolution", 20),
+            "thetas": thetas,
             "mc_points": mc_points,
         }
         for n in config["n_values"]

@@ -1,4 +1,4 @@
-"""Fitted relative-risk estimators and centred external predictors.
+"""Fitted relative-risk estimators.
 
 A fit is one solve, ``_fit_penalised``, of the strongly convex penalised
 likelihood l(D theta) + gamma ||R theta||^2 over a design D and an exact
@@ -7,8 +7,7 @@ representer route, over a basis subset of training points, which suits any
 kernel; a polynomial kernel's basis already shrinks to its feature rank
 there.  The solver sees only the pair, so any other route, such as the
 polynomial feature map the tests compare against, runs through the same
-solve.  ``CenteredExternal`` holds an external predictor with its training
-mean subtracted, as the convex aggregation of ``model_selection`` builds it.
+solve.
 """
 
 from __future__ import annotations
@@ -186,31 +185,3 @@ def fit_kernel_estimator(train: SurvivalDataset, kernel: KernelConfig, gamma: fl
         train_loss=final.likelihood.loss(),
     )
 
-
-@dataclass
-class CenteredExternal:
-    """External predictor minus its training-sample mean.
-
-    ``raw`` is an opaque vectorised function mapping an (n, d) covariate array
-    to n predictions; table-backed externals pass None and are evaluated
-    through their cached value vectors instead.
-    """
-
-    training_mean: float
-    raw: object | None = None
-    name: str = ""
-
-    def predict_many(self, xs) -> np.ndarray:
-        if self.raw is None:
-            raise ValueError(
-                f"external {self.name!r} is table-backed and cannot be evaluated at new points"
-            )
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        values = np.asarray(self.raw(xs), dtype=float)
-        return values - self.training_mean
-
-    def predict(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict_many(x[None, :])[0])

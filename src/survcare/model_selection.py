@@ -9,19 +9,23 @@ The regularisation path is fitted in decreasing order, warm-starting each fit
 at the previous solution; only the optimisation is repeated per level since
 the representer context is shared.  The validation predictions of every level
 come from one cross matrix between the validation points and the basis,
-computed once per path.  Aggregation with external predictors, centred on
-the training sample and checked against ``EXTERNAL_SUP_BOUND`` on both
-samples (a warning, not an error), then scans a simplex lattice of convex
-weights against those cached predictions.  The scan costs O(|Theta| * n)
-flops per level, spent in ceil(|Theta| / _ROW_BLOCK) calls of the likelihood
-core: the centred externals are put in the validation set's sorted order once
-per path and each level's predictions once per level, so every block of
-combinations is built directly in the core's sorted (n, block) layout and
-shares one exponential, suffix-sum and log pass, where a per-vector loop
-would repeat that work, and the call overhead, for every weight vector.  The
-grid is one read-only (|Theta| x M) array, and the report keeps the scan as
-one (levels x |Theta|) loss array next to it, not as one object per (level,
-point).
+computed once per path.  ``_centred_externals`` evaluates each external
+predictor once per sample, checks it against ``EXTERNAL_SUP_BOUND`` on both
+(a warning, not an error) and centres it once on the training sample; the
+``CenteredExternal`` it returns keeps its centred values on both samples,
+which the theta scan and the samples' predictions reuse.  The scan tries a
+simplex lattice of convex weights against those values and the cached
+predictions, at O(|Theta| * n) flops per level, spent in
+ceil(|Theta| / _ROW_BLOCK) calls of the likelihood core: the centred
+externals are put in the validation set's sorted order once per path and
+each level's predictions once per level, so every block of combinations is
+built directly in the core's sorted (n, block) layout and shares one
+exponential, suffix-sum and log pass, where a per-vector loop would repeat
+that work, and the call overhead, for every weight vector.  The grid is one
+read-only (|Theta| x M) array, and the report keeps the scan as one
+(levels x |Theta|) loss array next to it, not as one object per (level,
+point).  Apart from the scan's blocks, ``CareEstimator.combine`` is the one
+place the combination is summed.
 
 The selection is one argmin over that loss array.  Its first minimiser in C
 order breaks ties toward the smallest regularisation value and then the
@@ -41,11 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SurvivalDataset, write_table
-from .estimators import (
-    CenteredExternal,
-    KernelEstimator,
-    fit_kernel_estimator,
-)
+from .estimators import KernelEstimator, fit_kernel_estimator
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
 from .partial_likelihood import (
@@ -309,18 +309,19 @@ class CareEstimator:
     gamma: float
 
     def predict_many(self, xs) -> np.ndarray:
-        return self.combine(self.kernel_estimator.predict_many(xs), xs)
+        return self.combine(self.kernel_estimator.predict_many(xs),
+                            lambda ext: ext.predict_many(xs))
 
-    def combine(self, kernel_values, xs) -> np.ndarray:
-        """The prediction at xs from the kernel estimator's values there.
+    def combine(self, kernel_values, external_values) -> np.ndarray:
+        """The prediction at the points where the kernel estimator is ``kernel_values``.
 
-        A caller that already holds those values, as a study scoring a whole
-        path at shared points does, need not evaluate the kernel again.
+        ``external_values(ext)`` gives a centred external's values there; it is
+        called, in order, only for the externals with non-zero weight.
         """
         out = (1.0 - sum(self.theta)) * kernel_values
         for weight, ext in zip(self.theta, self.externals):
             if weight != 0.0:
-                out = out + weight * ext.predict_many(xs)
+                out = out + weight * external_values(ext)
         return out
 
     def predict(self, x) -> float:
@@ -348,39 +349,61 @@ class ExternalSpec:
     valid_values: np.ndarray | None = None
 
 
-def _external_values(spec: ExternalSpec, train: SurvivalDataset, valid: SurvivalDataset):
-    if spec.fn is not None:
-        tv = np.asarray(spec.fn(train.covariates), dtype=float)
-        vv = np.asarray(spec.fn(valid.covariates), dtype=float)
-    else:
-        if spec.train_values is None or spec.valid_values is None:
-            raise ValueError(f"external {spec.name!r} needs a callable or value tables")
-        tv = np.asarray(spec.train_values, dtype=float)
-        vv = np.asarray(spec.valid_values, dtype=float)
-    if tv.shape != (len(train),):
-        raise ValueError(f"external {spec.name!r}: expected {len(train)} training values")
-    if vv.shape != (len(valid),):
-        raise ValueError(f"external {spec.name!r}: expected {len(valid)} validation values")
-    if not (np.all(np.isfinite(tv)) and np.all(np.isfinite(vv))):
-        raise ValueError(f"external {spec.name!r} produced non-finite values")
-    if max(np.abs(tv).max(), np.abs(vv).max()) > EXTERNAL_SUP_BOUND:
-        warnings.warn(
-            f"external {spec.name!r} exceeds the sup-norm bound {EXTERNAL_SUP_BOUND}")
-    return tv, vv
+@dataclass(frozen=True, eq=False)
+class CenteredExternal:
+    """An external predictor minus its training-sample mean, with its centred,
+    read-only values on the training and validation samples.  ``raw`` maps an
+    (n, d) covariate array to n predictions; None for a table-backed external.
+    """
+
+    name: str
+    training_mean: float
+    raw: object | None
+    train_values: np.ndarray
+    valid_values: np.ndarray
+
+    def predict_many(self, xs) -> np.ndarray:
+        if self.raw is None:
+            raise ValueError(
+                f"external {self.name!r} is table-backed and cannot be evaluated at new points")
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim == 1:
+            xs = xs[:, None]
+        values = np.asarray(self.raw(xs), dtype=float)
+        return values - self.training_mean
+
+    def predict(self, x) -> float:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return float(self.predict_many(x[None, :])[0])
 
 
-def _centred_externals(externals: list[ExternalSpec], train: SurvivalDataset,
-                       valid: SurvivalDataset):
-    """The externals centred on the training sample, and their centred
-    validation values as an (M, len(valid)) matrix."""
-    centred: list[CenteredExternal] = []
-    centred_valid = np.empty((len(externals), len(valid)))
-    for m, spec in enumerate(externals):
-        tv, vv = _external_values(spec, train, valid)
+def _centred_externals(specs: Sequence[ExternalSpec], train: SurvivalDataset,
+                       valid: SurvivalDataset) -> list[CenteredExternal]:
+    """Each external evaluated once per sample, checked and centred on the training sample."""
+    centred = []
+    for spec in specs:
+        if spec.fn is not None:
+            tv = np.asarray(spec.fn(train.covariates), dtype=float)
+            vv = np.asarray(spec.fn(valid.covariates), dtype=float)
+        else:
+            if spec.train_values is None or spec.valid_values is None:
+                raise ValueError(f"external {spec.name!r} needs a callable or value tables")
+            tv = np.asarray(spec.train_values, dtype=float)
+            vv = np.asarray(spec.valid_values, dtype=float)
+        if tv.shape != (len(train),):
+            raise ValueError(f"external {spec.name!r}: expected {len(train)} training values")
+        if vv.shape != (len(valid),):
+            raise ValueError(f"external {spec.name!r}: expected {len(valid)} validation values")
+        if not (np.all(np.isfinite(tv)) and np.all(np.isfinite(vv))):
+            raise ValueError(f"external {spec.name!r} produced non-finite values")
+        if max(np.abs(tv).max(), np.abs(vv).max()) > EXTERNAL_SUP_BOUND:
+            warnings.warn(
+                f"external {spec.name!r} exceeds the sup-norm bound {EXTERNAL_SUP_BOUND}")
         mean = float(tv.mean())
-        centred.append(CenteredExternal(training_mean=mean, raw=spec.fn, name=spec.name))
-        centred_valid[m] = vv - mean
-    return centred, centred_valid
+        tv, vv = tv - mean, vv - mean
+        tv.flags.writeable = vv.flags.writeable = False
+        centred.append(CenteredExternal(spec.name, mean, spec.fn, tv, vv))
+    return centred
 
 
 def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfig,
@@ -424,9 +447,10 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
             raise ValueError("a theta grid is required when externals are given")
         if thetas.num_externals != len(externals):
             raise ValueError("theta grid width must match the number of externals")
-        centred, centred_valid = _centred_externals(externals, train, valid)
+        centred = _centred_externals(externals, train, valid)
         idx = valid.risk_index()
-        externals_sorted = centred_valid.T[idx.order]  # n x M, in the core's sorted order
+        # n x M, in the core's sorted order
+        externals_sorted = np.stack([ext.valid_values for ext in centred]).T[idx.order]
         theta_mat = thetas.points                      # P x M
         kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
         levels = [e.gamma for e in entries if e.converged]  # ascending gamma

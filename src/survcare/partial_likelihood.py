@@ -286,15 +286,17 @@ class PenalisedProblem:
         """Build the problem for ``design`` and ``factor``, the R of the penalty R'R.
 
         R is upper triangular and nonsingular; ``fields`` go to a subclass.
+        A design the caller holds no reference to is freed once whitened.
         """
         factor_inv = np.linalg.inv(factor)
         whitened = design @ factor_inv
+        del design
         curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
         curvature = np.maximum(curvature, 0.0)
-        prec_design = whitened @ rot
-        del whitened
         to_beta = factor_inv @ rot
         del factor_inv
+        prec_design = whitened @ rot
+        del whitened
         from_beta = rot.T @ factor
         arrays = (prec_design, curvature, to_beta, from_beta)
         for arr in arrays:
@@ -312,8 +314,8 @@ class RepresenterContext(PenalisedProblem):
 
     ``basis`` indexes the training points whose centred kernel sections span
     the fit, so theta is the coefficient vector beta of the module docstring.
-    ``kernel`` is the kernel the context was built with.  The Gram matrix and
-    the design are freed once the problem is built.
+    ``kernel`` is the kernel the context was built with.  The Gram matrix is
+    freed before whitening, and the design once it is whitened.
     """
 
     basis: np.ndarray
@@ -331,11 +333,13 @@ class RepresenterContext(PenalisedProblem):
         # its centred copy and the Gram are freed before whitening allocates
         factor = np.linalg.qr(lower[1:].T - np.outer(lower[0], kb), mode="r")
         del lower
-        ktilde = gram[:, basis] - kb[None, :]
+        ktilde = [gram[:, basis] - kb[None, :]]
         del gram
         basis.flags.writeable = False
         kbar.flags.writeable = False
-        return cls.precondition(dataset, ktilde, factor, basis=basis, kbar=kbar,
+        # popped into the call, so no reference stays here and precondition
+        # frees the design once it is whitened
+        return cls.precondition(dataset, ktilde.pop(), factor, basis=basis, kbar=kbar,
                                  kernel=kernel)
 
     @property

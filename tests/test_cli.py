@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from survcare import KernelEstimator, load_csv
+from survcare import DgpConfig, KernelEstimator, external_predictor, load_csv
 import survcare.cli
 from survcare.cli import main
 
@@ -202,6 +202,59 @@ class TestCare:
         assert "warning: external 'big' exceeds the sup-norm bound 100.0\n" in err
         assert "UserWarning" not in err
         assert "warnings.warn(" not in err
+
+    @staticmethod
+    def two_samples(tmp_path):
+        """Training and validation draws on which the builtin external gets theta 0.3."""
+        paths = []
+        for role, seed in (("train", 1), ("valid", 2)):
+            cfg = write_json(tmp_path / f"{role}_sim.json",
+                             {"dgp": "univariate", "n": 200, "seed": seed})
+            out = str(tmp_path / role)
+            assert main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+            paths.append(f"{out}_data.csv")
+        return paths
+
+    @staticmethod
+    def external_care(tmp_path, name, externals, *data):
+        path = write_json(tmp_path / f"{name}.json", {
+            "kernel": {"variant": "sobolev1", "shift": 1.0},
+            "gamma_grid": {"min": 1e-3, "max": 1.0, "count": 6},
+            "theta_resolution": 10, "externals": externals})
+        out = str(tmp_path / name)
+        assert main(["care", *data, "--config", path, "--out", out, "--quiet"]) == 0
+        with open(f"{out}_selection.json", encoding="utf-8") as fh:
+            assert json.load(fh)["theta_check"] == [0.3]
+        return out
+
+    def test_builtin_external_is_evaluated_once_per_sample(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(dgp, xs):
+            calls.append(len(xs))
+            return external_predictor(dgp, xs)
+
+        monkeypatch.setattr(survcare.cli, "external_predictor", counting)
+        train, valid = self.two_samples(tmp_path)
+        self.external_care(tmp_path, "care", [{"builtin": "univariate_perturbed"}],
+                           train, valid)
+        assert calls == [len(load_csv(train)), len(load_csv(valid))]
+
+    def test_table_of_the_builtin_writes_the_builtin_bytes(self, tmp_path):
+        train, valid = self.two_samples(tmp_path)
+        tables = {}
+        for role, data in (("train", train), ("valid", valid)):
+            values = external_predictor(DgpConfig("univariate"), load_csv(data).covariates)
+            tables[f"{role}_table"] = str(tmp_path / f"{role}_ext.csv")
+            with open(tables[f"{role}_table"], "w", newline="") as fh:
+                fh.write("prediction\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        builtin = self.external_care(tmp_path, "builtin", [{"builtin": "univariate_perturbed"}],
+                                     train, valid)
+        table = self.external_care(tmp_path, "table",
+                                   [{"name": "univariate_perturbed", **tables}], train, valid)
+        for suffix in ("_cv.csv", "_selection.json", "_predictions.csv", "_care.json"):
+            with open(builtin + suffix, "rb") as a, open(table + suffix, "rb") as b:
+                assert a.read() == b.read()
 
     def test_wrong_row_count_exit_2(self, tmp_path, simulated):
         table = tmp_path / "ext.csv"
@@ -678,7 +731,13 @@ class TestStudy:
         ({"n_values": [20, 30, 20]}, "invalid config at n_values: [20, 30, 20] has non-unique"),
         ({"n_values": [20, 10**40]}, "invalid study config: n_values entry 10"),
         ({"mc_points": 10**41}, "invalid study config: mc_points"),
-    ], ids=["gaussian_without_lengthscales", "zero_shift", "repeated_n", "huge_n", "huge_mc"])
+        ({"use_external": True, "theta_resolution": 2_000_000},
+         "theta grid would have 2000001 points"),
+        ({"dgp": "multivariate_d10"}, "expected dimension 1, got 10"),
+        ({"kernel": {"variant": "gaussian", "shift": 1.0, "lengthscales": [1.0, 1.0]}},
+         "expected dimension 2, got 1"),
+    ], ids=["gaussian_without_lengthscales", "zero_shift", "repeated_n", "huge_n", "huge_mc",
+            "huge_theta_grid", "sobolev1_on_d10", "two_lengthscales_on_univariate"])
     def test_bad_config_exit_2_before_any_replication(self, tmp_path, capsys, monkeypatch,
                                                       change, message):
         ran = []
@@ -712,7 +771,9 @@ class TestStudy:
         ran = []
         monkeypatch.setattr(survcare.cli, "_study_replication", not_run)
         with open(self.small_study(tmp_path), encoding="utf-8") as fh:
-            config = dict(json.load(fh), dgp=dgp)
+            # a kernel of the generator's dimension, so only the size is at fault
+            config = dict(json.load(fh), dgp=dgp, kernel={
+                "variant": "gaussian", "shift": 1.0, "lengthscales": [1.0] * d})
         out = str(tmp_path / "study")
         last = np.iinfo(np.intp).max // (8 * d)  # the most (rows, d) doubles numpy indexes
         assert indexable(last) and not indexable(last + 1)

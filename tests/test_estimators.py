@@ -247,8 +247,8 @@ class TestFeatureMapEstimator:
 
 def center_external(raw, train):
     """The external as fit_care centres it on the training sample."""
-    centred, _ = _centred_externals([ExternalSpec(name="ext", fn=raw)], train, train)
-    return centred[0]
+    centred, = _centred_externals([ExternalSpec(name="ext", fn=raw)], train, train)
+    return centred
 
 
 class TestCenteredExternal:
@@ -279,10 +279,24 @@ class TestCenteredExternal:
         with pytest.warns(UserWarning, match="sup-norm bound"):
             center_external(lambda xs: np.full(xs.shape[0], 500.0), small_dataset)
 
-    def test_table_backed_external_cannot_extrapolate(self):
-        ext = CenteredExternal(training_mean=1.0, raw=None, name="table")
+    def test_table_backed_external_cannot_extrapolate(self, small_dataset):
+        table = np.full(len(small_dataset), 1.0)
+        ext, = _centred_externals([ExternalSpec(name="table", train_values=table,
+                                                valid_values=table)],
+                                  small_dataset, small_dataset)
+        assert isinstance(ext, CenteredExternal) and ext.raw is None
         with pytest.raises(ValueError):
             ext.predict([0.5])
+
+    def test_sample_values_are_centred_once_and_read_only(self, small_dataset):
+        raw = lambda xs: 2.0 * xs[:, 0] + 1.0
+        valid = small_dataset.subset(np.arange(3))
+        ext, = _centred_externals([ExternalSpec(name="ext", fn=raw)], small_dataset, valid)
+        for values, data in ((ext.train_values, small_dataset), (ext.valid_values, valid)):
+            assert not values.flags.writeable
+            np.testing.assert_array_equal(values, raw(data.covariates) - ext.training_mean)
+            np.testing.assert_array_equal(values, ext.predict_many(data.covariates))
+        assert abs(ext.train_values.mean()) <= 1e-12
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -522,3 +523,23 @@ def test_context_retains_only_what_a_fit_reads():
     n, m = len(data), ctx.basis_size
     assert m == n
     assert retained <= 1.1 * 8 * (n * m + 2 * m * m)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 the caller's stack keeps a call's arguments alive")
+def test_context_build_peaks_at_five_square_arrays():
+    # Sobolev-1 at n=800, where the basis is every point, so each of D, R, its
+    # inverse, the whitened design, the moment matrix and its eigenvectors is
+    # n x n.  Whitening needs the last five at once; D must be freed by then,
+    # and the inverse before the rotated design is formed, or a sixth is live
+    data, _ = simulate_dataset(DgpConfig("univariate"), 800, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ctx = RepresenterContext.build(data, Sobolev1Kernel(shift=1.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n, m = len(data), ctx.basis_size
+    assert m == n
+    assert peak <= 5.5 * 8 * n * m
