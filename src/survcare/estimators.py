@@ -112,7 +112,12 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     so each point it scores costs one likelihood pass, which the gradient at
     an accepted point reuses.  The final theta-space check reads the point at
     from_beta @ theta, whose pass also gives the training loss and whose w
-    the squared norm.
+    the squared norm.  BFGS asks the same check as its stop predicate at the
+    rounding floor, where its inner tolerance may be out of reach: after an
+    accepted step with no representable decrease, the level stops as
+    converged if the check passes there.  The check remembers the last point
+    it read, so the final check of a level the rule stopped reuses it and
+    the two cannot disagree.
     """
     if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -136,15 +141,26 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     transform_norm = float(np.abs(problem.from_beta * level.scale[:, None]).sum(axis=0).max())
     inner = replace(opts, gradient_tolerance=max(
         opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13))
+    checked = None  # (v's bytes, theta, its point, its theta-space gradient norm)
+
+    def theta_check(v):
+        nonlocal checked
+        if checked is None or checked[0] != v.tobytes():
+            theta = problem.to_beta @ (v / level.scale)
+            point = PenalisedPoint(problem, problem.from_beta @ theta)
+            norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max())
+            checked = (v.tobytes(), theta, point, norm)
+        return checked
+
+    # at the rounding floor BFGS stops once the final check would pass there
     result = minimize_bfgs(
         lambda v: preconditioned_objective(v, level),
         lambda v: preconditioned_gradient(v, level),
         (problem.from_beta @ init) * level.scale,
         inner,
+        stop=lambda v: theta_check(v)[3] <= opts.gradient_tolerance,
     )
-    theta = problem.to_beta @ (result.minimizer / level.scale)
-    final = PenalisedPoint(problem, problem.from_beta @ theta)
-    grad_norm = float(np.abs(penalized_gradient(theta, problem, gamma, final)).max())
+    _, theta, final, grad_norm = theta_check(result.minimizer)
     converged = grad_norm <= opts.gradient_tolerance
     if not converged:
         fit_warning = (fit_warning + "; " if fit_warning else "") + (

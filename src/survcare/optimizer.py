@@ -69,7 +69,8 @@ def _inverse_hessian_times(g, h0, pairs):
     return q
 
 
-def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None) -> OptimResult:
+def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None,
+                  stop=None) -> OptimResult:
     """Minimise a smooth function with BFGS and Armijo backtracking.
 
     The inverse-Hessian approximation starts at the identity scaled by
@@ -84,6 +85,14 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     tolerance.  On a failed line search (no Armijo decrease within 60
     halvings) or a non-finite gradient the best iterate with a finite
     gradient is returned with ``converged=False``.
+
+    ``stop``, when given, is a predicate on an iterate for the rounding
+    floor: after an accepted step whose objective is not below the last one
+    (the Armijo test accepted it only because the decrease it asks for is
+    below the objective's rounding), the run stops as converged if
+    ``stop(x)`` holds at the new iterate.  It is called only on such steps
+    and changes no iterate, so a predicate that never holds gives the run
+    without one, bit for bit.
     """
     opts = options or OptimOptions()
     x = np.array(init, dtype=float)
@@ -130,10 +139,12 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
             pairs.append((s, y, 1.0 / sy))
+        floor = not f_new < fx
         x, g, fx = x_new, g_new, f_new
         trace.append(fx)
         iterations += 1
-        converged = float(np.abs(g).max()) <= opts.gradient_tolerance
+        converged = float(np.abs(g).max()) <= opts.gradient_tolerance or (
+            floor and stop is not None and bool(stop(x)))
 
     return OptimResult(
         minimizer=x,

@@ -54,7 +54,11 @@ accepted before it, exceeds ``SCHUR_DIAGONAL_REL_TOL`` times the largest
 bordered entry.  The factorisation reads the Gram matrix in place and never
 forms the (n+1) x (n+1) bordered matrix.  Centring that factor gives R for
 khat without forming khat, whose formula loses digits to cancellation when
-khat is far smaller than the Gram entries.
+khat is far smaller than the Gram entries.  The centred factor is one spike
+row over an upper-triangular block, so R is a rank-one update of that block,
+reduced one block of rows at a time (``_centred_penalty_factor``), and the
+preconditioner inverts R by halves (``_upper_triangular_inverse``): neither
+step runs a dense QR or LU of an m x m matrix.
 """
 
 from __future__ import annotations
@@ -247,6 +251,81 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
     return basis, factor[:len(accepted), :len(accepted)]
 
 
+def _centred_penalty_factor(lower: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """The upper-triangular R with R'R = khat over the basis, from the selector's factor.
+
+    ``lower`` is the (m+1) x (m+1) factor of ``build_representer_basis`` and
+    ``kb`` holds kbar at the m basis points.  The centred sections are
+    (1, k(., X_A)) T with T = [-kb'; I], so khat = M'M for M = lower' T.  M's
+    first row is the spike m0' = lower[1:, 0]' - lower[0, 0] kb' and its other
+    rows are U = lower[1:, 1:]', which is upper triangular, so R'R = U'U +
+    m0 m0' is a rank-one update of U'U (Golub and Van Loan, Matrix
+    Computations, section 6.5).  The spike is reduced against U one block of
+    ``_BASIS_BLOCK`` rows at a time: a complete QR of the spike over U's
+    diagonal block gives that block's rows of R, and one product with its Q
+    carries the block's rows and the spike across the trailing columns.  With
+    m <= ``_BASIS_BLOCK`` that is one QR of M itself.
+    """
+    m = kb.shape[0]
+    upper = lower[1:, 1:].T
+    spike = lower[1:, 0] - lower[0, 0] * kb  # M's first row, over the columns left
+    factor = np.zeros((m, m))
+    for start in range(0, m, _BASIS_BLOCK):
+        stop = min(start + _BASIS_BLOCK, m)
+        rows = np.vstack((spike, upper[start:stop, start:]))
+        q, diag_block = np.linalg.qr(rows[:, :stop - start], mode="complete")
+        factor[start:stop, start:stop] = diag_block[:-1]
+        trailing = q.T @ rows[:, stop - start:]
+        factor[start:stop, stop:] = trailing[:-1]
+        spike = trailing[-1]
+    return factor
+
+
+def _halves(m: int) -> int:
+    """Where a triangular matrix of order m > ``_BASIS_BLOCK`` splits: a block boundary near m/2."""
+    return -(-(m // 2) // _BASIS_BLOCK) * _BASIS_BLOCK
+
+
+def _upper_triangular_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with factor @ X = rhs for upper-triangular ``factor``, by halves.
+
+    The trailing half is solved first and its product moved to the right-hand
+    side of the leading half; blocks of at most ``_BASIS_BLOCK`` go to
+    ``np.linalg.solve``, whose partial pivoting never swaps a row of a
+    triangular matrix, so each block is back substitution.
+    """
+    m = factor.shape[0]
+    if m <= _BASIS_BLOCK:
+        return np.linalg.solve(factor, rhs)
+    k = _halves(m)
+    x = np.empty_like(rhs)
+    x[k:] = _upper_triangular_solve(factor[k:, k:], rhs[k:])
+    x[:k] = _upper_triangular_solve(factor[:k, :k], rhs[:k] - factor[:k, k:] @ x[k:])
+    return x
+
+
+def _upper_triangular_inverse(factor: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular upper-triangular matrix, by halves.
+
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], with both
+    diagonal inverses formed the same way and the corner by solving with A,
+    not by multiplying with A^-1, which keeps the residual factor @ X - I as
+    small as a column-by-column back substitution leaves it (Du Croz and
+    Higham, IMA J. Numer. Anal. 1992).  Blocks of at most ``_BASIS_BLOCK``
+    go to ``np.linalg.inv``.  The lower triangle of the result is zero.
+    """
+    m = factor.shape[0]
+    if m <= _BASIS_BLOCK:
+        return np.linalg.inv(factor)
+    k = _halves(m)
+    inverse = np.zeros((m, m))
+    inverse[k:, k:] = _upper_triangular_inverse(factor[k:, k:])
+    inverse[:k, :k] = _upper_triangular_inverse(factor[:k, :k])
+    inverse[:k, k:] = _upper_triangular_solve(factor[:k, :k],
+                                              -(factor[:k, k:] @ inverse[k:, k:]))
+    return inverse
+
+
 @dataclass
 class PenalisedProblem:
     """The objective l(D theta) + gamma ||R theta||^2 on one training dataset.
@@ -286,9 +365,11 @@ class PenalisedProblem:
         """Build the problem for ``design`` and ``factor``, the R of the penalty R'R.
 
         R is upper triangular and nonsingular; ``fields`` go to a subclass.
-        A design the caller holds no reference to is freed once whitened.
+        Its inverse, formed by halves (``_upper_triangular_inverse``),
+        whitens the design.  A design the caller holds no reference to is
+        freed once whitened.
         """
-        factor_inv = np.linalg.inv(factor)
+        factor_inv = _upper_triangular_inverse(factor)
         whitened = design @ factor_inv
         del design
         curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
@@ -328,10 +409,8 @@ class RepresenterContext(PenalisedProblem):
         basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
         kbar = gram.mean(axis=0)
         kb = kbar[basis]
-        # the centred sections are (1, k(., X_A)) T with T = [-kb'; I], so
-        # khat = T' lower lower' T = R'R for the R of a QR of lower' T; lower,
-        # its centred copy and the Gram are freed before whitening allocates
-        factor = np.linalg.qr(lower[1:].T - np.outer(lower[0], kb), mode="r")
+        # lower and the Gram are freed before whitening allocates
+        factor = _centred_penalty_factor(lower, kb)
         del lower
         ktilde = [gram[:, basis] - kb[None, :]]
         del gram

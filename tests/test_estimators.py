@@ -11,6 +11,7 @@ from survcare import (
     CenteredExternal,
     DgpConfig,
     ExternalSpec,
+    GammaGrid,
     GaussianKernel,
     KernelEstimator,
     PolynomialKernel,
@@ -21,9 +22,10 @@ from survcare import (
     simulate_dataset,
     true_f0,
 )
-from survcare import partial_likelihood
+from survcare import OptimOptions, estimators, partial_likelihood
 from survcare.kernels import NotInSpaceError
 from survcare.model_selection import _centred_externals
+from survcare.optimizer import minimize_bfgs
 from survcare.partial_likelihood import RepresenterContext
 
 from test_partial_likelihood import bordered_norm_oracle
@@ -133,6 +135,82 @@ class TestFitKernelEstimator:
         est = fit_kernel_estimator(small_dataset, sob1, 0.01)
         trace = np.asarray(est.objective_trace)
         assert np.all(np.diff(trace) <= 0)
+
+
+def spy_on_bfgs(monkeypatch, replace_stop=None):
+    """Record each BFGS run's (options, result, stop answers) in a fit.
+
+    ``replace_stop`` maps the fit's stop predicate to the one BFGS is given.
+    """
+    runs = []
+
+    def spy(objective, gradient, init, options=None, stop=None):
+        answers = []
+        given = replace_stop(stop) if replace_stop else stop
+
+        def asked(v):
+            answers.append(bool(given(v)))
+            return answers[-1]
+
+        result = minimize_bfgs(objective, gradient, init, options,
+                               stop=asked if given else None)
+        runs.append((options, result, answers))
+        return result
+
+    monkeypatch.setattr(estimators, "minimize_bfgs", spy)
+    return runs
+
+
+class TestRoundingFloorStop:
+    # a draw and level whose BFGS run reaches the rounding floor: an accepted
+    # step with no decrease, after which the theta-space test holds
+    GAMMA = GammaGrid.geometric(1e-5, 10.0, 50).values[38]
+
+    @pytest.fixture
+    def floor_level(self, sob1):
+        data, _ = simulate_dataset(DgpConfig("univariate"), 40, 1)
+        return data, RepresenterContext.build(data, sob1)
+
+    def test_a_stop_that_never_holds_changes_nothing(self, monkeypatch, floor_level, sob1):
+        data, ctx = floor_level
+        plain_runs = spy_on_bfgs(monkeypatch, replace_stop=lambda stop: None)
+        plain = fit_kernel_estimator(data, sob1, self.GAMMA, ctx=ctx)
+        never_runs = spy_on_bfgs(monkeypatch, replace_stop=lambda stop: lambda v: False)
+        never = fit_kernel_estimator(data, sob1, self.GAMMA, ctx=ctx)
+        assert not plain_runs[0][2] and never_runs[0][2]  # the floor was reached
+        assert never.beta.tobytes() == plain.beta.tobytes()
+        assert never.objective_trace == plain.objective_trace
+        assert (never.converged, never.gradient_norm, never.train_loss,
+                never.hilbert_norm_squared) == (plain.converged, plain.gradient_norm,
+                                                plain.train_loss, plain.hilbert_norm_squared)
+
+    def test_a_level_the_rule_stops_is_converged(self, monkeypatch, floor_level, sob1):
+        data, ctx = floor_level
+        runs = spy_on_bfgs(monkeypatch)
+        est = fit_kernel_estimator(data, sob1, self.GAMMA, ctx=ctx)
+        options, result, answers = runs[0]
+        # the rule stopped it: the inner gradient was still above its tolerance
+        assert answers == [True]
+        assert result.converged and result.gradient_norm > options.gradient_tolerance
+        # and the final check read the point the rule read
+        assert est.converged and est.fit_warning is None
+        assert est.gradient_norm <= OptimOptions().gradient_tolerance
+
+    @pytest.mark.slow
+    def test_mid_grid_level_stops_at_the_floor(self, sob1):
+        # n=1600, grid index 22 (gamma 4.94e-3) of the 50-level path: the
+        # theta-space test holds from the 5th gradient on, while the inner
+        # gradient stays above the inner tolerance; without the rule BFGS ran
+        # all 500 iterations there, at about 33 objective calls each
+        data, _ = simulate_dataset(DgpConfig("univariate"), 1600, 1)
+        ctx = RepresenterContext.build(data, sob1)
+        warm = None
+        for gamma in GammaGrid.geometric(1e-5, 10.0, 50).values[:21:-1]:
+            est = fit_kernel_estimator(data, sob1, gamma, warm=warm, ctx=ctx)
+            warm = est.beta
+        assert gamma == pytest.approx(4.94e-3, rel=1e-3)
+        assert est.converged
+        assert len(est.objective_trace) - 1 <= 50
 
 
 class TestPredict:

@@ -78,6 +78,55 @@ def test_bitwise_determinism():
     assert r1.iterations == r2.iterations
 
 
+def floored_quadratic():
+    """1 + a quadratic rounded to 1e-8, with the quadratic's exact gradient.
+
+    Near the centre the rounded objective is flat while the gradient is not
+    yet below the tolerance: a rounding floor, where Armijo accepts only
+    steps with no decrease.
+    """
+    d = np.array([1.0, 3.0, 10.0, 30.0, 100.0])
+    c = np.linspace(-1.0, 1.0, 5)
+
+    def f(x):
+        return 1.0 + round(float((d * (x - c) ** 2).sum()) * 1e8) / 1e8
+
+    def g(x):
+        return 2.0 * d * (x - c)
+
+    return f, g, np.zeros(5)
+
+
+@pytest.mark.parametrize("problem", ["rosenbrock", "floored_quadratic"])
+def test_a_stop_that_never_holds_changes_nothing(problem):
+    if problem == "rosenbrock":
+        f, g, init = rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0])
+    else:
+        f, g, init = floored_quadratic()
+    asked = []
+    plain = minimize_bfgs(f, g, init)
+    never = minimize_bfgs(f, g, init, stop=lambda x: asked.append(x.copy()) and False)
+    assert never.minimizer.tobytes() == plain.minimizer.tobytes()
+    assert never.trace == plain.trace
+    assert (never.iterations, never.converged, never.gradient_norm, never.objective_value) == \
+        (plain.iterations, plain.converged, plain.gradient_norm, plain.objective_value)
+    if problem == "floored_quadratic":
+        assert asked  # the floor was reached, so the predicate was asked and said no
+
+
+def test_stop_is_asked_only_after_a_step_without_decrease():
+    f, g, init = floored_quadratic()
+    asked = []
+    result = minimize_bfgs(f, g, init, stop=lambda x: asked.append(x.copy()) or True)
+    assert len(asked) == 1
+    assert asked[0].tobytes() == result.minimizer.tobytes()
+    assert result.trace[-1] == result.trace[-2]
+    assert all(b < a for a, b in zip(result.trace[:-1], result.trace[1:-1]))
+    # the predicate, not the gradient, ended the run
+    assert result.converged
+    assert result.gradient_norm > OptimOptions().gradient_tolerance
+
+
 def test_converged_implies_tolerance():
     f, g = quadratic([3.0])
     opts = OptimOptions(gradient_tolerance=1e-10)

@@ -20,6 +20,7 @@ from survcare import (
     GaussianKernel,
     PolynomialKernel,
     Sobolev1Kernel,
+    Sobolev2Kernel,
     SurvivalDataset,
     build_representer_basis,
     constant_norm_squared,
@@ -33,7 +34,9 @@ from survcare import partial_likelihood
 from survcare.partial_likelihood import (
     LevelEvaluation,
     RepresenterContext,
+    _centred_penalty_factor,
     _sorted_neg_log_partial_likelihood,
+    _upper_triangular_inverse,
     likelihood_gradient_weights,
     preconditioned_gradient,
     preconditioned_objective,
@@ -543,3 +546,62 @@ def test_context_build_peaks_at_five_square_arrays():
     n, m = len(data), ctx.basis_size
     assert m == n
     assert peak <= 5.5 * 8 * n * m
+
+
+# the basis of each kernel on n uniform points: every point for Sobolev-1 and
+# the Gaussian, fewer for Sobolev-2 and the polynomial (its feature rank)
+PENALTY_KERNELS = {
+    "sobolev1": (Sobolev1Kernel(shift=1.0), 1),
+    "sobolev2": (Sobolev2Kernel(shift=1.0), 1),
+    "gaussian_d10": (GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10), 10),
+    "polynomial": (PolynomialKernel(degree=2, shift=1.0), 10),
+}
+
+
+def centred_penalty_case(kernel, points):
+    """The selector's factor, kbar at the basis and M = lower' [-kb'; I]."""
+    gram = gram_matrix(kernel, points)
+    basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
+    kb = gram.mean(axis=0)[basis]
+    return lower, kb, lower[1:].T - np.outer(lower[0], kb)
+
+
+def penalty_cases():
+    yield "empty", Sobolev2Kernel(shift=2.0), np.zeros((1, 1))  # the section is the constant
+    for name, (kernel, dim) in PENALTY_KERNELS.items():
+        for n in (1, 63, 64, 65, 129, 800):
+            points = np.random.default_rng(n).uniform(0.0, 1.0, (n, dim))
+            yield f"{name}-{n}", kernel, points
+
+
+@pytest.mark.parametrize("kernel, points", [case[1:] for case in penalty_cases()],
+                         ids=[case[0] for case in penalty_cases()])
+class TestCentredPenaltyFactor:
+    def test_factor_is_exact_and_triangular(self, kernel, points):
+        lower, kb, design = centred_penalty_case(kernel, points)
+        factor = _centred_penalty_factor(lower, kb)
+        m = kb.shape[0]
+        if isinstance(kernel, (Sobolev1Kernel, GaussianKernel)):
+            assert m == len(points)
+        assert factor.shape == (m, m)
+        assert np.array_equal(factor, np.triu(factor))
+        gram_form = design.T @ design
+        assert np.linalg.norm(factor.T @ factor - gram_form) <= 1e-14 * np.linalg.norm(gram_form)
+        if m <= partial_likelihood._BASIS_BLOCK:
+            # one block is one QR of M itself, as a dense factorisation gives it
+            assert factor.tobytes() == np.linalg.qr(design, mode="r").tobytes()
+
+    def test_inverse_by_halves(self, kernel, points):
+        lower, kb, _ = centred_penalty_case(kernel, points)
+        factor = _centred_penalty_factor(lower, kb)
+        inverse = _upper_triangular_inverse(factor)
+        m = factor.shape[0]
+        assert inverse.shape == (m, m)
+        assert np.all(np.tril(inverse, -1) == 0.0)
+        if m <= partial_likelihood._BASIS_BLOCK:
+            assert inverse.tobytes() == np.linalg.inv(factor).tobytes()
+        if m:
+            identity = np.eye(m)
+            residual = np.abs(factor @ inverse - identity).max()
+            dense = np.abs(factor @ np.linalg.inv(factor) - identity).max()
+            assert residual <= 4.0 * dense
