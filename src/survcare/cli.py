@@ -31,7 +31,7 @@ from .data import (
     write_table,
 )
 from .estimators import fit_kernel_estimator
-from .evaluation import StepSurvival, _mc_design, breslow_survival, concordance_index, l2_error_mc
+from .evaluation import StepSurvival, breslow_survival, concordance_index, l2_error_mc
 from .kernels import NotInSpaceError, constant_norm_squared, cross_matrix, kernel_from_json
 from .model_selection import (
     AllFitsFailed,
@@ -41,7 +41,7 @@ from .model_selection import (
     theta_grid,
 )
 from .optimizer import OptimOptions
-from .simulation import DgpConfig, covariate_sampler, external_predictor, simulate_dataset, true_f0
+from .simulation import DgpConfig, external_predictor, simulate_dataset, true_f0
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -396,19 +396,23 @@ def _study_replication(payload: dict) -> dict:
         care, report, fits = fit_care_path(train, valid, kernel, grid, externals,
                                            thetas, options)
 
-        # one Monte-Carlo design per replication: the points, f0 there and the
-        # (points x basis) section matrix that every fit of the path shares,
-        # so each level scores as sections @ beta
-        xs = _mc_design(covariate_sampler(dgp), mc_points, mc_seed)
-        f0_xs = truth.f0(xs)
-        sections = fits[report.gamma_hat]._centred_sections(xs)
-
-        def l2(values) -> float:  # l2_error_mc of values given at that design
-            return l2_error_mc(lambda _: values, lambda _: f0_xs, lambda *_: xs,
-                               mc_points, mc_seed)
-
         converged = [e.gamma for e in report.gamma_entries if e.converged]
-        errors = {g: l2(sections @ fits[g].beta) for g in converged}
+
+        # one column per converged level, then CARE and the external; every
+        # fit of the path shares the (points x basis) section matrix, so each
+        # level's values are sections @ beta
+        def fitted(xs):
+            sections = fits[report.gamma_hat]._centred_sections(xs)
+            columns = [sections @ fits[g].beta for g in converged]
+            if externals:
+                ext_values = care.externals[0].predict_many(xs)
+                kernel_values = columns[converged.index(care.gamma)]
+                columns += [care.combine(kernel_values, lambda _: ext_values), ext_values]
+            return np.array(columns).T
+
+        # one Monte-Carlo pass scores every fit of the replication
+        l2 = l2_error_mc(fitted, truth.f0, truth.sampler(), mc_points, mc_seed).tolist()
+        errors = dict(zip(converged, l2))
         gamma_star = min(converged, key=lambda g: (errors[g], g))
 
         rows = [
@@ -418,12 +422,10 @@ def _study_replication(payload: dict) -> dict:
              "l2_error": errors[gamma_star], "gamma": gamma_star, "theta": ()},
         ]
         if externals:
-            ext_values = care.externals[0].predict_many(xs)
-            care_values = care.combine(sections @ care.kernel_estimator.beta, lambda _: ext_values)
             rows.append({"n": n, "rep": rep, "estimator": "care",
-                         "l2_error": l2(care_values), "gamma": care.gamma, "theta": care.theta})
+                         "l2_error": l2[-2], "gamma": care.gamma, "theta": care.theta})
             rows.append({"n": n, "rep": rep, "estimator": "external",
-                         "l2_error": l2(ext_values), "gamma": None, "theta": ()})
+                         "l2_error": l2[-1], "gamma": None, "theta": ()})
         return {"n": n, "rep": rep, "rows": rows, "error": None}
     except Exception as exc:  # replication failures are recorded, not fatal
         return {"n": n, "rep": rep, "rows": [], "error": f"{type(exc).__name__}: {exc}"}

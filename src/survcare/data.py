@@ -174,7 +174,8 @@ def read_rows(path, select):
     """Yield each non-blank row of the CSV at ``path`` as the floats in ``select(header)``.
 
     ``select`` names the columns to read and raises when one is missing; the
-    header is None if the file has none.  A repeated column name is refused.
+    header is None if the file has none.  A repeated column name is refused,
+    and so is a row wider than the header (a trailing comma included).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -185,6 +186,9 @@ def read_rows(path, select):
         columns = select(header)
         positions = [header.index(c) for c in columns]
         for i, row in enumerate(r for r in reader if r):
+            if len(row) > len(header):
+                raise DataFormatError(f"{path}: row {i} has {len(row)} cells, "
+                                      f"the header {len(header)}")
             yield [_parse_cell(row[p] if p < len(row) else "", path, i, c)
                    for p, c in zip(positions, columns)]
 

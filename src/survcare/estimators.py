@@ -7,7 +7,8 @@ representer route, over a basis subset of training points, which suits any
 kernel; a polynomial kernel's basis already shrinks to its feature rank
 there.  The solver sees only the pair, so any other route, such as the
 polynomial feature map the tests compare against, runs through the same
-solve.
+solve.  An estimator predicts through ``predict_many`` alone, at an (n, d)
+array of points or a 1-D array as n points of a one-coordinate model.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class KernelEstimator:
         if self.beta.size == 0:  # empty basis: the centred span is {0}
             return np.zeros((xs.shape[0], 0))
         return cross_matrix(self.kernel, xs, self.basis_points) - self.kbar_at_basis[None, :]
-
-    def predict(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict_many(x[None, :])[0])
 
     def to_json(self) -> dict:
         return {

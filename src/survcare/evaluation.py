@@ -13,7 +13,9 @@ over prediction ranks, walking tie groups of times from the latest down.
 
 The Breslow curve is the exponentiated negative Breslow cumulative hazard,
 and ``l2_error_mc`` is the Monte-Carlo root mean squared gap between a fit
-and the true risk function, the error the replication studies report.
+and the true risk function, the error the replication studies report.  It
+scores one fit, or the columns of an (n, k) array of fits at one design,
+each column bit for bit as it would score alone.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ class StepSurvival:
             arr.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    def evaluate_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        pos = np.searchsorted(self.times, ts, side="right")
-        padded = np.concatenate(([1.0], self.values))
-        return padded[pos]
-
-    def evaluate(self, t: float) -> float:
-        return float(self.evaluate_many(np.asarray([t]))[0])
 
     def to_csv(self, path) -> None:
         write_table(path, ["t", "survival"], [(0.0, 1.0), *zip(self.times, self.values)])
@@ -133,21 +126,20 @@ def concordance_index(predictions, data: SurvivalDataset) -> float:
     return num / den
 
 
-def _mc_design(sampler, n_mc: int, seed: int) -> np.ndarray:
-    """The covariates ``l2_error_mc`` averages over for ``(n_mc, seed)``."""
+def l2_error_mc(predict, truth, sampler, n_mc: int, seed: int):
+    """Root mean squared gap between fitted values and the truth over sampled covariates.
+
+    ``sampler(n, rng)`` draws an (n, d) design, deterministic given the seed;
+    ``truth`` gives n values there.  ``predict`` gives n values, scored as a
+    float, or an (n, k) array of k fits, scored as k errors: each column is
+    reduced as one contiguous row, bit for bit its error alone.
+    """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
-    return sampler(n_mc, np.random.Generator(np.random.Philox(key=seed % 2**64)))
-
-
-def l2_error_mc(predict, truth, sampler, n_mc: int, seed: int) -> float:
-    """Root mean squared gap between two functions over sampled covariates.
-
-    ``sampler(n, rng)`` draws an (n, d) covariate array; both functions are
-    vectorised over rows.  Deterministic given the seed.
-    """
-    xs = _mc_design(sampler, n_mc, seed)
-    diff = np.asarray(predict(xs), dtype=float) - np.asarray(truth(xs), dtype=float)
+    xs = sampler(n_mc, np.random.Generator(np.random.Philox(key=seed % 2**64)))
+    fitted = np.asarray(predict(xs), dtype=float)
+    diff = np.ascontiguousarray(fitted.T) - np.asarray(truth(xs), dtype=float)
     if not np.all(np.isfinite(diff)):
         raise ValueError("functions produced non-finite values")
-    return float(np.sqrt(np.mean(diff**2)))
+    errors = np.sqrt(np.mean(diff**2, axis=-1))
+    return float(errors) if fitted.ndim == 1 else errors

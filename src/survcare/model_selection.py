@@ -25,7 +25,8 @@ that work, and the call overhead, for every weight vector.  The grid is one
 read-only (|Theta| x M) array, and the report keeps the scan as one
 (levels x |Theta|) loss array next to it, not as one object per (level,
 point).  Apart from the scan's blocks, ``CareEstimator.combine`` is the one
-place the combination is summed.
+place the combination is summed.  Every evaluator predicts through
+``predict_many`` alone, under the estimators' array convention.
 
 The selection is one argmin over that loss array.  Its first minimiser in C
 order breaks ties toward the smallest regularisation value and then the
@@ -324,10 +325,6 @@ class CareEstimator:
                 out = out + weight * external_values(ext)
         return out
 
-    def predict(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict_many(x[None, :])[0])
-
     def to_json(self) -> dict:
         return {
             "gamma": self.gamma,
@@ -371,10 +368,6 @@ class CenteredExternal:
             xs = xs[:, None]
         values = np.asarray(self.raw(xs), dtype=float)
         return values - self.training_mean
-
-    def predict(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self.predict_many(x[None, :])[0])
 
 
 def _centred_externals(specs: Sequence[ExternalSpec], train: SurvivalDataset,

@@ -13,7 +13,8 @@ order and parallelism never change the data.  Each record's words are a pure
 function of its key and counter, so ``simulate_dataset`` computes the streams
 of ``_RECORD_BLOCK`` records at a time with numpy array arithmetic, bit for
 bit the words and doubles that numpy's ``Philox`` and ``Generator`` give for
-that record.
+that record.  ``true_f0`` and ``external_predictor`` take points as the
+estimators' ``predict_many`` does and always return an array.
 """
 
 from __future__ import annotations
@@ -56,28 +57,32 @@ class DgpConfig:
         return 1 if self.variant == "univariate" else 10
 
 
-def true_f0(config: DgpConfig, x) -> np.ndarray | float:
-    """True log relative risk; integrates to zero over the covariate law.
+def _points(config: DgpConfig, x) -> np.ndarray:
+    """``x`` as an (n, d) array; a 1-D array is n points of a one-coordinate model."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != config.dimension:
+        raise ValueError(f"expected dimension {config.dimension}")
+    return pts
+
+
+def true_f0(config: DgpConfig, x) -> np.ndarray:
+    """True log relative risk at the points ``x``; integrates to zero over the covariate law.
 
     Univariate: 2 sin(2x) - 2 sin^2(1).  Multivariate: the same shape summed
     over the first five coordinates.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x[None, :] if scalar else x
-    if pts.shape[1] != config.dimension:
-        raise ValueError(f"expected dimension {config.dimension}")
+    pts = _points(config, x)
     if pts.min() < 0.0 or pts.max() > 1.0:
         raise ValueError("covariates must lie in [0, 1]")
     if config.variant == "univariate":
-        out = 2.0 * np.sin(2.0 * pts[:, 0]) - 2.0 * math.sin(1.0) ** 2
-    else:
-        out = (2.0 * np.sin(2.0 * pts[:, :5]) - 2.0 * math.sin(1.0) ** 2).sum(axis=1)
-    return float(out[0]) if scalar else out
+        return 2.0 * np.sin(2.0 * pts[:, 0]) - 2.0 * math.sin(1.0) ** 2
+    return (2.0 * np.sin(2.0 * pts[:, :5]) - 2.0 * math.sin(1.0) ** 2).sum(axis=1)
 
 
-def external_predictor(config: DgpConfig, x) -> np.ndarray | float:
-    """Fixed external risk model used alongside each generator.
+def external_predictor(config: DgpConfig, x) -> np.ndarray:
+    """Fixed external risk model used alongside each generator, at the points ``x``.
 
     Univariate: a perturbed version of the true risk,
     2 sin(3x/2) - (8/3) sin^2(3/4).  Multivariate: the best linear fit to the
@@ -85,17 +90,11 @@ def external_predictor(config: DgpConfig, x) -> np.ndarray | float:
     sum_j (sin 2 - cos 2 - 1)(6 x_j - 3).  Both have zero mean under the
     covariate law.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = x[None, :] if scalar else x
-    if pts.shape[1] != config.dimension:
-        raise ValueError(f"expected dimension {config.dimension}")
+    pts = _points(config, x)
     if config.variant == "univariate":
-        out = 2.0 * np.sin(1.5 * pts[:, 0]) - (8.0 / 3.0) * math.sin(0.75) ** 2
-    else:
-        slope = math.sin(2.0) - math.cos(2.0) - 1.0
-        out = (slope * (6.0 * pts[:, :4] - 3.0)).sum(axis=1)
-    return float(out[0]) if scalar else out
+        return 2.0 * np.sin(1.5 * pts[:, 0]) - (8.0 / 3.0) * math.sin(0.75) ** 2
+    slope = math.sin(2.0) - math.cos(2.0) - 1.0
+    return (slope * (6.0 * pts[:, :4] - 3.0)).sum(axis=1)
 
 
 def covariate_sampler(config: DgpConfig):

@@ -1,5 +1,6 @@
-"""Evaluation oracles: quadratic-time concordance and fresh survival draws.
+"""Evaluation oracles: step-curve lookup, quadratic-time concordance and fresh survival draws.
 
+``step_survival_at`` reads a ``StepSurvival`` curve at given times.
 ``concordance_index_reference`` counts comparable pairs straight from the
 definition in ``survcare.evaluation``, the reference for the library's
 Fenwick-tree concordance.  ``simulate_survival_times`` draws uncensored
@@ -11,6 +12,12 @@ import numpy as np
 
 from survcare.evaluation import NoComparablePairsError
 from survcare.simulation import BASELINE_RATE, true_f0
+
+
+def step_survival_at(curve, ts):
+    """A right-continuous step curve's values at the times ``ts``: 1 before its first jump."""
+    pos = np.searchsorted(curve.times, np.asarray(ts, dtype=float), side="right")
+    return np.concatenate(([1.0], curve.values))[pos]
 
 
 def concordance_index_reference(predictions, data) -> float:

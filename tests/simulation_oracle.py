@@ -33,7 +33,7 @@ def simulate_arrays(config, n: int, seed: int) -> dict[str, np.ndarray]:
             x = rng.uniform(0.0, 1.0, size=d)
             u = 1.0 - rng.random()           # uniform on (0, 1]
             tc = min(rng.uniform(CENSOR_LOW, CENSOR_HIGH), 1.0)
-            ts = -math.exp(-true_f0(config, x)) * math.log(u) / BASELINE_RATE
+            ts = -math.exp(-true_f0(config, x[None, :])[0]) * math.log(u) / BASELINE_RATE
             t = min(ts, tc)
             if t > 0.0:                      # u == 1.0 exactly never survives this guard
                 break

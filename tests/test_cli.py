@@ -512,6 +512,38 @@ class TestRepeatedColumn:
         assert not os.path.exists(tmp_path / "care_cv.csv")
 
 
+class TestWideRow:
+    """A row with more cells than its header is refused with exit 2, never cut to fit."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "care", "evaluate"])
+    def test_data_file(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        data.write_text("x1,time,event\n0.1,5,1\n0.2,6,0,7\n0.3,7,1\n")
+        configs = {"fit": {"kernel": CV_CONFIG["kernel"], "gamma": 0.1}, "cv": CV_CONFIG,
+                   "care": dict(CV_CONFIG, externals=[{"builtin": "univariate_perturbed"}],
+                                theta_resolution=5)}
+        args = [command, str(data)] + ([str(data)] if command in ("cv", "care") else [])
+        if command in configs:
+            args += ["--config", write_json(tmp_path / "c.json", configs[command])]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert f"error: {data}: row 1 has 4 cells, the header 3\n" in capsys.readouterr().err
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("o_")]
+
+    @pytest.mark.parametrize("command", ["evaluate", "care"])
+    def test_prediction_table(self, tmp_path, simulated, capsys, command):
+        table = tmp_path / "preds.csv"
+        table.write_text("prediction\n" + "0.5\n" * 59 + "0.5,\n")
+        data = f"{simulated}_data.csv"
+        if command == "evaluate":
+            args = ["evaluate", data, "--predictions", str(table)]
+        else:
+            cfg = dict(CV_CONFIG, externals=[{"name": "tab", "train_table": str(table),
+                                              "valid_table": str(table)}])
+            args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert f"error: {table}: row 59 has 2 cells, the header 1\n" in capsys.readouterr().err
+
+
 class TestOutputsOverwrittenInPlace:
     """Every command rewrites existing outputs in place, leaving exactly the new bytes."""
 

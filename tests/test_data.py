@@ -17,7 +17,7 @@ from survcare import (
     split_train_validation,
     write_csv,
 )
-from survcare.data import open_output, write_json, write_table
+from survcare.data import open_output, read_rows, write_json, write_table
 
 
 def _write(path, text):
@@ -104,6 +104,21 @@ class TestRepeatedColumn:
         name = header.split(",")[1]
         with pytest.raises(DataFormatError, match=f"d.csv: repeated column '{name}'"):
             load_csv(path)
+
+
+class TestWideRow:
+    """A row with more cells than its header is refused, never cut to fit."""
+
+    @pytest.mark.parametrize("row", ["0.2,6,0,7", "0.2,6,0,"], ids=["extra_cell", "trailing_comma"])
+    def test_data_file(self, tmp_path, row):
+        path = _write(tmp_path / "d.csv", "x1,time,event\n0.1,5,1\n" + row + "\n")
+        with pytest.raises(DataFormatError, match="d.csv: row 1 has 4 cells, the header 3"):
+            load_csv(path)
+
+    def test_prediction_table(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "prediction\n0.5\n0.5,0.1\n")
+        with pytest.raises(DataFormatError, match="p.csv: row 1 has 2 cells, the header 1"):
+            list(read_rows(path, lambda header: ["prediction"]))
 
 
 class TestOpenOutput:

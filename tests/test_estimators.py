@@ -36,7 +36,7 @@ class TestFitKernelEstimator:
         data = SurvivalDataset([[0.3]], [0.6], [False])
         est = fit_kernel_estimator(data, Sobolev1Kernel(shift=1.0), 0.5)
         np.testing.assert_allclose(est.beta, 0.0, atol=1e-10)
-        assert est.predict([0.8]) == pytest.approx(0.0, abs=1e-10)
+        assert est.predict_many([0.8]) == pytest.approx(0.0, abs=1e-10)
 
     def test_huge_gamma_shrinks_to_zero(self, uni_dgp):
         data, _ = simulate_dataset(uni_dgp, 100, 21)
@@ -77,7 +77,7 @@ class TestFitKernelEstimator:
         est = fit_kernel_estimator(data, Sobolev1Kernel(shift=2.0), 0.1)
         assert est.beta.size == 0
         assert est.converged
-        assert est.predict([0.7]) == 0.0
+        np.testing.assert_array_equal(est.predict_many([0.7]), [0.0])
 
     @pytest.mark.parametrize("fit, kernel, coef", [
         (fit_kernel_estimator, Sobolev1Kernel(shift=1.0), "beta"),
@@ -222,7 +222,7 @@ class TestPredict:
             beta=np.zeros(ctx.basis_size),
             kbar_at_basis=ctx.kbar[ctx.basis],
         )
-        assert est.predict([0.3]) == 0.0
+        np.testing.assert_array_equal(est.predict_many([0.3]), [0.0])
         np.testing.assert_array_equal(est.predict_many([[0.1], [0.9]]), [0.0, 0.0])
 
     def test_training_point_matches_internal_fit_values(self, small_dataset, sob1):
@@ -364,7 +364,7 @@ class TestCenteredExternal:
                                   small_dataset, small_dataset)
         assert isinstance(ext, CenteredExternal) and ext.raw is None
         with pytest.raises(ValueError):
-            ext.predict([0.5])
+            ext.predict_many([0.5])
 
     def test_sample_values_are_centred_once_and_read_only(self, small_dataset):
         raw = lambda xs: 2.0 * xs[:, 0] + 1.0

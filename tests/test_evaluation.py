@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import all_censored_dataset
-from evaluation_oracle import concordance_index_reference
+from evaluation_oracle import concordance_index_reference, step_survival_at
 from survcare import (
     NoComparablePairsError,
     StepSurvival,
@@ -27,32 +27,32 @@ class TestBreslow:
     def test_one_before_first_event(self):
         data = make_dataset([0.4, 0.8], [True, True])
         curve = breslow_survival(data)
-        assert curve.evaluate(0.1) == 1.0
-        assert curve.evaluate(0.39999) == 1.0
+        assert step_survival_at(curve, 0.1) == 1.0
+        assert step_survival_at(curve, 0.39999) == 1.0
 
     def test_two_event_hand_enumeration(self):
         data = make_dataset([0.4, 0.8], [True, True])
         curve = breslow_survival(data)
-        assert curve.evaluate(0.4) == pytest.approx(math.exp(-0.5))
-        assert curve.evaluate(0.9) == pytest.approx(math.exp(-1.5))
+        assert step_survival_at(curve, 0.4) == pytest.approx(math.exp(-0.5))
+        assert step_survival_at(curve, 0.9) == pytest.approx(math.exp(-1.5))
 
     def test_all_censored_constant_one(self):
         curve = breslow_survival(all_censored_dataset())
         assert curve.times.size == 0
-        assert curve.evaluate(0.99) == 1.0
+        assert step_survival_at(curve, 0.99) == 1.0
 
     def test_tied_events_share_risk_count(self):
         data = make_dataset([0.5, 0.5, 1.0], [True, True, True])
         curve = breslow_survival(data)
         # both events at 0.5 use risk count 3
-        assert curve.evaluate(0.5) == pytest.approx(math.exp(-2.0 / 3.0))
-        assert curve.evaluate(1.0) == pytest.approx(math.exp(-2.0 / 3.0 - 1.0))
+        assert step_survival_at(curve, 0.5) == pytest.approx(math.exp(-2.0 / 3.0))
+        assert step_survival_at(curve, 1.0) == pytest.approx(math.exp(-2.0 / 3.0 - 1.0))
 
     def test_censored_records_only_shrink_risk_sets(self):
         data = make_dataset([0.3, 0.5, 0.9], [True, False, True])
         curve = breslow_survival(data)
-        assert curve.evaluate(0.3) == pytest.approx(math.exp(-1.0 / 3.0))
-        assert curve.evaluate(0.95) == pytest.approx(math.exp(-1.0 / 3.0 - 1.0))
+        assert step_survival_at(curve, 0.3) == pytest.approx(math.exp(-1.0 / 3.0))
+        assert step_survival_at(curve, 0.95) == pytest.approx(math.exp(-1.0 / 3.0 - 1.0))
 
     def test_monotone_and_in_range(self, uni_dgp):
         from survcare import simulate_dataset
@@ -76,7 +76,7 @@ class TestStepSurvival:
     def test_right_continuity_and_lookup(self):
         curve = StepSurvival(np.array([0.25, 0.5]), np.array([0.8, 0.4]))
         np.testing.assert_allclose(
-            curve.evaluate_many([0.0, 0.25, 0.3, 0.5, 1.0]),
+            step_survival_at(curve, [0.0, 0.25, 0.3, 0.5, 1.0]),
             [1.0, 0.8, 0.8, 0.4, 0.4])
 
     def test_invariants_enforced(self):
@@ -176,6 +176,15 @@ class TestL2ErrorMc:
         f = lambda xs: xs[:, 0] ** 2
         g = lambda xs: np.zeros(xs.shape[0])
         assert l2_error_mc(f, g, self.sampler, 500, 3) == l2_error_mc(f, g, self.sampler, 500, 3)
+
+    def test_columns_score_bit_for_bit_as_alone(self):
+        truth = lambda xs: np.sin(3.0 * xs[:, 0])
+        fits = [lambda xs, k=k: np.cos(k * xs[:, 0]) / (k + 1) for k in range(5)]
+        errors = l2_error_mc(lambda xs: np.column_stack([f(xs) for f in fits]), truth,
+                             self.sampler, 1237, 9)
+        alone = [l2_error_mc(f, truth, self.sampler, 1237, 9) for f in fits]
+        assert isinstance(alone[0], float) and errors.shape == (5,)
+        assert errors.tobytes() == np.array(alone).tobytes()
 
     def test_non_finite_rejected(self):
         f = lambda xs: np.full(xs.shape[0], np.inf)

@@ -16,12 +16,14 @@ from survcare import (
     Sobolev1Kernel,
     SurvivalDataset,
     ThetaGrid,
+    external_predictor,
     fit_care,
     fit_kernel_estimator,
     neg_log_partial_likelihood,
     simulate_dataset,
     split_train_validation,
     theta_grid,
+    true_f0,
     validation_loss,
 )
 from survcare import estimators, model_selection
@@ -379,25 +381,39 @@ class TestPredictCare:
         clone = type(fitted)(
             kernel_estimator=fitted.kernel_estimator,
             externals=fitted.externals, theta=(0.0,), gamma=fitted.gamma)
-        for x in ([0.2], [0.8]):
-            assert clone.predict(x) == pytest.approx(
-                fitted.kernel_estimator.predict(x))
+        xs = np.array([[0.2], [0.8]])
+        assert clone.predict_many(xs) == pytest.approx(
+            fitted.kernel_estimator.predict_many(xs))
 
     def test_vertex_theta_equals_external(self, fitted):
         clone = type(fitted)(
             kernel_estimator=fitted.kernel_estimator,
             externals=fitted.externals, theta=(1.0,), gamma=fitted.gamma)
-        for x in ([0.3], [0.6]):
-            assert clone.predict(x) == pytest.approx(fitted.externals[0].predict(x))
+        xs = np.array([[0.3], [0.6]])
+        assert clone.predict_many(xs) == pytest.approx(fitted.externals[0].predict_many(xs))
 
     def test_interior_theta_between_components(self, fitted):
         clone = type(fitted)(
             kernel_estimator=fitted.kernel_estimator,
             externals=fitted.externals, theta=(0.4,), gamma=fitted.gamma)
-        for x in ([0.25], [0.75]):
-            parts = [fitted.kernel_estimator.predict(x), fitted.externals[0].predict(x)]
-            value = clone.predict(x)
-            assert min(parts) - 1e-12 <= value <= max(parts) + 1e-12
+        xs = np.array([[0.25], [0.75]])
+        parts = np.stack([fitted.kernel_estimator.predict_many(xs),
+                          fitted.externals[0].predict_many(xs)])
+        values = clone.predict_many(xs)
+        assert np.all(parts.min(axis=0) - 1e-12 <= values)
+        assert np.all(values <= parts.max(axis=0) + 1e-12)
+
+    def test_one_coordinate_points_as_a_1d_array(self, fitted, cv_setup):
+        # a 1-D array is n points of a one-coordinate model, bit for bit its column
+        truth = cv_setup[2]
+        xs = np.linspace(0.0, 1.0, 11)
+        for evaluate in (fitted.kernel_estimator.predict_many, fitted.predict_many,
+                         fitted.externals[0].predict_many, truth.f0, truth.external,
+                         lambda x: true_f0(truth.config, x),
+                         lambda x: external_predictor(truth.config, x)):
+            flat, column = evaluate(xs), evaluate(xs[:, None])
+            assert flat.shape == (11,)
+            assert flat.tobytes() == column.tobytes()
 
 
 @pytest.fixture(scope="module")

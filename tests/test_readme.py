@@ -1,0 +1,14 @@
+"""The README's library quick start runs against the package as it is."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_quick_start_runs():
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(block, f"{README.name} quick start", "exec"), namespace)
+    assert namespace["care"].predict_many([0.3, 0.6]).shape == (2,)

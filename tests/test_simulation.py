@@ -37,7 +37,7 @@ class TestTrueRisk:
         assert true_f0(uni_dgp, [0.0]) == pytest.approx(-2.0 * math.sin(1.0) ** 2)
 
     def test_multivariate_at_zero(self):
-        assert true_f0(MULTI, np.zeros(10)) == pytest.approx(-10.0 * math.sin(1.0) ** 2)
+        assert true_f0(MULTI, np.zeros((1, 10))) == pytest.approx(-10.0 * math.sin(1.0) ** 2)
 
     def test_univariate_mean_zero(self, uni_dgp):
         rng = np.random.default_rng(0)
@@ -57,8 +57,8 @@ class TestExternalPredictor:
         assert external_predictor(uni_dgp, [0.0]) == pytest.approx(expected)
 
     def test_multivariate_midpoint_zero(self):
-        x = np.full(10, 0.37)
-        x[:4] = 0.5
+        x = np.full((1, 10), 0.37)
+        x[:, :4] = 0.5
         assert external_predictor(MULTI, x) == pytest.approx(0.0, abs=1e-14)
 
     def test_univariate_mean_zero(self, uni_dgp):
@@ -118,7 +118,7 @@ class TestSimulateDataset:
         # Exp(1); the band sits at the mode of f0 so it fills quickly
         data, truth = simulate_dataset(uni_dgp, 6 * 10**4, 13)
         f0 = truth.f0(truth.covariates)
-        center = float(true_f0(uni_dgp, [math.pi / 4])) - 0.02
+        center = float(true_f0(uni_dgp, [math.pi / 4])[0]) - 0.02
         band = np.abs(f0 - center) <= 0.02
         sample = 6.0 * truth.survival_times[band][:10**4] * math.exp(center)
         assert sample.size >= 10**4
