@@ -8,6 +8,15 @@ event corresponds to ``censored = False``.
 Observed times are normalised to (0, 1] by dividing by the maximum time in
 the file; ``time_scale`` records the divisor so files round-trip exactly.
 
+Two gates check every caller-supplied array in the package.  ``as_points``
+makes covariates a float (n, d) array, a 1-D array being n points of a
+one-coordinate model, and refuses more than two dimensions, no points, a
+non-finite entry and a wrong d.  ``as_record_values`` makes one finite value
+per record, an (n,) array.  Both raise ``DataFormatError``, so a given bad
+array fails with one class and one message at every entry point.  A CSV
+cell must hold a finite number: ``nan``, ``inf`` and ``1e999`` are refused
+where they are read, naming the file, the column and the row.
+
 Every file the package writes is opened by ``open_output``, which overwrites
 it in place: it opens without truncating, writes from the start, and cuts a
 regular file to the bytes written when it closes.  The file keeps its inode,
@@ -25,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass
@@ -50,6 +60,39 @@ class NonPositiveTimeError(DataFormatError):
 
 class BadEventFlagError(DataFormatError):
     pass
+
+
+def as_points(points, dimension: int | None = None) -> np.ndarray:
+    """``points`` as a float (n, d) array; a 1-D array is n points of a one-coordinate model.
+
+    Every entry point that takes covariates converts them here.  More than
+    two dimensions, no points, a non-finite entry and a d other than
+    ``dimension`` (when given) are refused as ``DataFormatError``.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise DataFormatError(f"points must form a non-empty (n, d) array, got shape {pts.shape}")
+    if dimension is not None and pts.shape[1] != dimension:
+        raise DataFormatError(f"expected dimension {dimension}, got {pts.shape[1]}")
+    if not np.all(np.isfinite(pts)):
+        raise DataFormatError("points must be finite")
+    return pts
+
+
+def as_record_values(values, n: int, what: str, dtype=float) -> np.ndarray:
+    """``values`` as an (n,) array of ``dtype`` with every entry finite.
+
+    Every entry point that takes one value per record converts it here; a
+    refusal is a ``DataFormatError`` whose message names ``what``.
+    """
+    out = np.asarray(values, dtype=dtype)
+    if out.shape != (n,):
+        raise DataFormatError(f"expected {n} {what}, got shape {out.shape}")
+    if not np.all(np.isfinite(out)):
+        raise DataFormatError(f"{what} must be finite")
+    return out
 
 
 @dataclass
@@ -78,19 +121,11 @@ class SurvivalDataset:
     """Immutable collection of (covariates, time in (0, 1], censored) records."""
 
     def __init__(self, covariates, times, censored, time_scale: float = 1.0):
-        covariates = np.asarray(covariates, dtype=float)
-        if covariates.ndim == 1:
-            covariates = covariates[:, None]
-        times = np.asarray(times, dtype=float)
-        censored = np.asarray(censored, dtype=bool)
-        n = times.shape[0]
-        if n == 0:
-            raise DataFormatError("dataset needs at least one record")
-        if covariates.shape[0] != n or censored.shape[0] != n:
-            raise DataFormatError("covariates, times and flags must have equal length")
-        if not np.all(np.isfinite(covariates)):
-            raise DataFormatError("covariates must be finite")
-        if not np.all(np.isfinite(times)) or times.min() <= 0.0:
+        covariates = as_points(covariates)
+        n = covariates.shape[0]
+        times = as_record_values(times, n, "times")
+        censored = as_record_values(censored, n, "censoring flags", dtype=bool)
+        if times.min() <= 0.0:
             raise NonPositiveTimeError("times must lie in (0, 1]")
         if times.max() > 1.0:
             raise DataFormatError("times must be normalised to (0, 1]")
@@ -109,11 +144,9 @@ class SurvivalDataset:
     @classmethod
     def from_raw_times(cls, covariates, raw_times, censored) -> "SurvivalDataset":
         raw = np.asarray(raw_times, dtype=float)
-        if raw.size == 0:
-            raise DataFormatError("dataset needs at least one record")
-        if not np.all(np.isfinite(raw)) or raw.min() <= 0.0:
-            raise NonPositiveTimeError("times must be positive")
-        scale = float(raw.max())
+        if not np.all(np.isfinite(raw) & (raw > 0.0)):
+            raise NonPositiveTimeError("times must be finite and positive")
+        scale = float(raw.max()) if raw.size else 1.0  # no records: the points gate refuses
         return cls(covariates, raw / scale, censored, time_scale=scale)
 
     def __len__(self) -> int:
@@ -158,16 +191,20 @@ class SurvivalDataset:
 
 
 def _parse_cell(value: str, path, row: int, column: str) -> float:
-    """The number in one CSV cell."""
+    """The finite number in one CSV cell."""
     value = value.strip()
     if value == "":
         raise NonNumericCellError(f"{path}: blank cell in column {column!r}, row {row}")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise NonNumericCellError(
             f"{path}: non-numeric value {value!r} in column {column!r}, row {row}"
         ) from None
+    if not math.isfinite(number):  # float() reads nan, inf and 1e999
+        raise NonNumericCellError(
+            f"{path}: non-finite value {value!r} in column {column!r}, row {row}")
+    return number
 
 
 def read_rows(path, select):

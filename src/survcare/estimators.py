@@ -7,8 +7,8 @@ representer route, over a basis subset of training points, which suits any
 kernel; a polynomial kernel's basis already shrinks to its feature rank
 there.  The solver sees only the pair, so any other route, such as the
 polynomial feature map the tests compare against, runs through the same
-solve.  An estimator predicts through ``predict_many`` alone, at an (n, d)
-array of points or a 1-D array as n points of a one-coordinate model.
+solve.  An estimator predicts through ``predict_many`` alone, at points as
+``data.as_points`` takes them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, as_points
 from .kernels import KernelConfig, cross_matrix, kernel_from_json, kernel_to_json
 from .optimizer import OptimOptions, OptimResult, minimize_bfgs
 from .partial_likelihood import (
@@ -64,13 +64,7 @@ class KernelEstimator:
         It depends on the training sample and the basis only, so every fit of
         one regularisation path shares it.
         """
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        if xs.shape[1] != self.basis_points.shape[1]:
-            raise ValueError(
-                f"expected dimension {self.basis_points.shape[1]}, got {xs.shape[1]}"
-            )
+        xs = as_points(xs, self.basis_points.shape[1])
         if self.beta.size == 0:  # empty basis: the centred span is {0}
             return np.zeros((xs.shape[0], 0))
         return cross_matrix(self.kernel, xs, self.basis_points) - self.kbar_at_basis[None, :]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset, write_table
+from .data import DataFormatError, SurvivalDataset, as_record_values, write_table
 
 
 class NoComparablePairsError(ValueError):
@@ -96,11 +96,7 @@ class _Fenwick:
 
 def concordance_index(predictions, data: SurvivalDataset) -> float:
     """Concordance index in O(n log n) via a Fenwick tree over prediction ranks."""
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.shape != (len(data),):
-        raise ValueError(f"expected {len(data)} predictions")
-    if not np.all(np.isfinite(predictions)):
-        raise ValueError("predictions must be finite")
+    predictions = as_record_values(predictions, len(data), "predictions")
     idx = data.risk_index()
     preds_sorted = predictions[idx.order]
     ranks = np.searchsorted(np.unique(preds_sorted), preds_sorted)
@@ -132,13 +128,17 @@ def l2_error_mc(predict, truth, sampler, n_mc: int, seed: int):
     ``sampler(n, rng)`` draws an (n, d) design, deterministic given the seed;
     ``truth`` gives n values there.  ``predict`` gives n values, scored as a
     float, or an (n, k) array of k fits, scored as k errors: each column is
-    reduced as one contiguous row, bit for bit its error alone.
+    reduced as one contiguous row, bit for bit its error alone.  Any other
+    shape from either callable is refused, never broadcast.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     xs = sampler(n_mc, np.random.Generator(np.random.Philox(key=seed % 2**64)))
     fitted = np.asarray(predict(xs), dtype=float)
-    diff = np.ascontiguousarray(fitted.T) - np.asarray(truth(xs), dtype=float)
+    if fitted.ndim not in (1, 2) or fitted.shape[0] != n_mc:
+        raise DataFormatError(f"expected {n_mc} fitted values or rows of them, "
+                              f"got shape {fitted.shape}")
+    diff = np.ascontiguousarray(fitted.T) - as_record_values(truth(xs), n_mc, "true values")
     if not np.all(np.isfinite(diff)):
         raise ValueError("functions produced non-finite values")
     errors = np.sqrt(np.mean(diff**2, axis=-1))

@@ -9,16 +9,17 @@ Supported kernel families on real vectors:
 * additive sums of one-dimensional kernels applied to selected coordinates
 
 Kernels are evaluated in vectorised form only: ``cross_matrix`` between two
-point sets and ``gram_matrix`` over one.  A Gram matrix is a plain read-only
-array, symmetric bit for bit because every family computes k(x, y) and
-k(y, x) by the same operations.  The Gaussian kernel takes the rows of the
-first set in blocks whose coordinate differences hold at most ``_DIFF_BLOCK``
-doubles (or one row's worth), so its cross matrix needs little more memory
-than the output.  ``constant_norm_squared`` gives the squared
-Hilbert norm of the constant function in closed form, which the centred
-penalty needs, and ``kernel_to_json``/``kernel_from_json`` are the
-configuration wire format.  All configurations are immutable and all
-operations are pure, so they can be evaluated concurrently.
+point sets and ``gram_matrix`` over one, each set taken by ``data.as_points``.
+A Gram matrix is a plain read-only array, symmetric bit for bit because
+every family computes k(x, y) and k(y, x) by the same operations.  The
+Gaussian kernel takes the rows of the first set in blocks whose coordinate
+differences hold at most ``_DIFF_BLOCK`` doubles (or one row's worth), so
+its cross matrix needs little more memory than the output.
+``constant_norm_squared`` gives the squared Hilbert norm of the constant
+function in closed form, which the centred penalty needs, and
+``kernel_to_json``/``kernel_from_json`` are the configuration wire format.
+All configurations are immutable and all operations are pure, so they can
+be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import as_points
 
 # Doubles per block of Gaussian coordinate differences: ``cross_matrix`` takes
 # as many rows of ``xs`` at a time as keep the (rows, m, d) block this small.
@@ -168,19 +171,6 @@ def _floats(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite") from None
 
 
-def _as_points(points, expected_dim=None) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must form a non-empty 2-d array")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    if expected_dim is not None and pts.shape[1] != expected_dim:
-        raise ValueError(f"expected dimension {expected_dim}, got {pts.shape[1]}")
-    return pts
-
-
 def _check_unit_interval(values: np.ndarray) -> None:
     if values.min() < 0.0 or values.max() > 1.0:
         raise ValueError("Sobolev kernels require coordinates in [0, 1]")
@@ -189,8 +179,8 @@ def _check_unit_interval(values: np.ndarray) -> None:
 def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
     """Matrix of kernel values k(xs[i], ys[j]), vectorised over both point sets."""
     if isinstance(config, GaussianKernel):
-        xs = _as_points(xs, config.dimension)
-        ys = _as_points(ys, config.dimension)
+        xs = as_points(xs, config.dimension)
+        ys = as_points(ys, config.dimension)
         if config.lengthscales is not None:
             ls = np.asarray(config.lengthscales)
         else:
@@ -211,17 +201,17 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
             block += config.shift
         return out
     if isinstance(config, PolynomialKernel):
-        xs, ys = _as_points(xs), _as_points(ys)
+        xs, ys = as_points(xs), as_points(ys)
         if xs.shape[1] != ys.shape[1]:
             raise ValueError("dimension mismatch between point sets")
         return (xs @ ys.T + config.shift) ** config.degree
     if isinstance(config, Sobolev1Kernel):
-        xs, ys = _as_points(xs, 1), _as_points(ys, 1)
+        xs, ys = as_points(xs, 1), as_points(ys, 1)
         _check_unit_interval(xs)
         _check_unit_interval(ys)
         return config.shift + np.minimum(xs[:, 0][:, None], ys[:, 0][None, :])
     if isinstance(config, Sobolev2Kernel):
-        xs, ys = _as_points(xs, 1), _as_points(ys, 1)
+        xs, ys = as_points(xs, 1), as_points(ys, 1)
         _check_unit_interval(xs)
         _check_unit_interval(ys)
         x = xs[:, 0][:, None]
@@ -231,7 +221,7 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
         # is exactly symmetric in floating point
         return config.shift + m * (x * y) - m**2 * (x + y) / 2.0 + m**3 / 3.0
     if isinstance(config, AdditiveKernel):
-        xs, ys = _as_points(xs), _as_points(ys)
+        xs, ys = as_points(xs), as_points(ys)
         if xs.shape[1] != ys.shape[1]:
             raise ValueError("dimension mismatch between point sets")
         if xs.shape[1] < config.min_dimension:
@@ -247,7 +237,7 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
 
 def gram_matrix(config: KernelConfig, points) -> np.ndarray:
     """The read-only, bitwise symmetric matrix of k over every pair of ``points``."""
-    pts = _as_points(points)
+    pts = as_points(points)
     k = cross_matrix(config, pts, pts)
     k.flags.writeable = False
     return k

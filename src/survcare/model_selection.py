@@ -26,7 +26,8 @@ read-only (|Theta| x M) array, and the report keeps the scan as one
 (levels x |Theta|) loss array next to it, not as one object per (level,
 point).  Apart from the scan's blocks, ``CareEstimator.combine`` is the one
 place the combination is summed.  Every evaluator predicts through
-``predict_many`` alone, under the estimators' array convention.
+``predict_many`` alone, at points as ``data.as_points`` takes them, and each
+external's values on a sample pass ``data.as_record_values``.
 
 The selection is one argmin over that loss array.  Its first minimiser in C
 order breaks ties toward the smallest regularisation value and then the
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset, write_table
+from .data import SurvivalDataset, as_points, as_record_values, write_table
 from .estimators import KernelEstimator, fit_kernel_estimator
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
@@ -363,10 +364,7 @@ class CenteredExternal:
         if self.raw is None:
             raise ValueError(
                 f"external {self.name!r} is table-backed and cannot be evaluated at new points")
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[:, None]
-        values = np.asarray(self.raw(xs), dtype=float)
+        values = np.asarray(self.raw(as_points(xs)), dtype=float)
         return values - self.training_mean
 
 
@@ -376,19 +374,13 @@ def _centred_externals(specs: Sequence[ExternalSpec], train: SurvivalDataset,
     centred = []
     for spec in specs:
         if spec.fn is not None:
-            tv = np.asarray(spec.fn(train.covariates), dtype=float)
-            vv = np.asarray(spec.fn(valid.covariates), dtype=float)
+            tv, vv = spec.fn(train.covariates), spec.fn(valid.covariates)
+        elif spec.train_values is None or spec.valid_values is None:
+            raise ValueError(f"external {spec.name!r} needs a callable or value tables")
         else:
-            if spec.train_values is None or spec.valid_values is None:
-                raise ValueError(f"external {spec.name!r} needs a callable or value tables")
-            tv = np.asarray(spec.train_values, dtype=float)
-            vv = np.asarray(spec.valid_values, dtype=float)
-        if tv.shape != (len(train),):
-            raise ValueError(f"external {spec.name!r}: expected {len(train)} training values")
-        if vv.shape != (len(valid),):
-            raise ValueError(f"external {spec.name!r}: expected {len(valid)} validation values")
-        if not (np.all(np.isfinite(tv)) and np.all(np.isfinite(vv))):
-            raise ValueError(f"external {spec.name!r} produced non-finite values")
+            tv, vv = spec.train_values, spec.valid_values
+        tv = as_record_values(tv, len(train), f"training values of external {spec.name!r}")
+        vv = as_record_values(vv, len(valid), f"validation values of external {spec.name!r}")
         if max(np.abs(tv).max(), np.abs(vv).max()) > EXTERNAL_SUP_BOUND:
             warnings.warn(
                 f"external {spec.name!r} exceeds the sup-norm bound {EXTERNAL_SUP_BOUND}")

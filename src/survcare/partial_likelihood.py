@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RiskSetIndex, SurvivalDataset
+from .data import RiskSetIndex, SurvivalDataset, as_record_values
 from .kernels import KernelConfig, constant_norm_squared, gram_matrix
 
 # A training point joins the representer basis when the Schur-complement
@@ -177,11 +177,7 @@ def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
     The values are gathered into the dataset's sorted order and scored by the
     core.  All-censored data give 0.0.
     """
-    fvalues = np.asarray(fvalues, dtype=float)
-    if fvalues.shape != (len(data),):
-        raise ValueError(f"expected {len(data)} relative-risk values")
-    if not np.all(np.isfinite(fvalues)):
-        raise ValueError("relative-risk values must be finite")
+    fvalues = as_record_values(fvalues, len(data), "relative-risk values")
     return LikelihoodPass(fvalues, data.risk_index()).loss()
 
 

@@ -13,8 +13,8 @@ order and parallelism never change the data.  Each record's words are a pure
 function of its key and counter, so ``simulate_dataset`` computes the streams
 of ``_RECORD_BLOCK`` records at a time with numpy array arithmetic, bit for
 bit the words and doubles that numpy's ``Philox`` and ``Generator`` give for
-that record.  ``true_f0`` and ``external_predictor`` take points as the
-estimators' ``predict_many`` does and always return an array.
+that record.  ``true_f0`` and ``external_predictor`` take points as
+``data.as_points`` does, with the generator's d, and always return an array.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, as_points
 
 BASELINE_RATE = 6.0
 CENSOR_LOW = 0.2
@@ -57,23 +57,13 @@ class DgpConfig:
         return 1 if self.variant == "univariate" else 10
 
 
-def _points(config: DgpConfig, x) -> np.ndarray:
-    """``x`` as an (n, d) array; a 1-D array is n points of a one-coordinate model."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != config.dimension:
-        raise ValueError(f"expected dimension {config.dimension}")
-    return pts
-
-
 def true_f0(config: DgpConfig, x) -> np.ndarray:
     """True log relative risk at the points ``x``; integrates to zero over the covariate law.
 
     Univariate: 2 sin(2x) - 2 sin^2(1).  Multivariate: the same shape summed
     over the first five coordinates.
     """
-    pts = _points(config, x)
+    pts = as_points(x, config.dimension)
     if pts.min() < 0.0 or pts.max() > 1.0:
         raise ValueError("covariates must lie in [0, 1]")
     if config.variant == "univariate":
@@ -90,7 +80,7 @@ def external_predictor(config: DgpConfig, x) -> np.ndarray:
     sum_j (sin 2 - cos 2 - 1)(6 x_j - 3).  Both have zero mean under the
     covariate law.
     """
-    pts = _points(config, x)
+    pts = as_points(x, config.dimension)
     if config.variant == "univariate":
         return 2.0 * np.sin(1.5 * pts[:, 0]) - (8.0 / 3.0) * math.sin(0.75) ** 2
     slope = math.sin(2.0) - math.cos(2.0) - 1.0

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from survcare.data import as_points
 from survcare.estimators import _fit_penalised
-from survcare.kernels import PolynomialKernel, _as_points
+from survcare.kernels import PolynomialKernel
 from survcare.partial_likelihood import PenalisedProblem
 
 
@@ -53,7 +54,7 @@ def feature_matrix(config: PolynomialKernel, points) -> np.ndarray:
     """
     if not isinstance(config, PolynomialKernel):
         raise TypeError("feature maps are available for polynomial kernels only")
-    pts = _as_points(points)
+    pts = as_points(points)
     exponents, weights = _poly_feature_index(config, pts.shape[1])
     cols = np.empty((pts.shape[0], len(exponents) + 1))
     for j, exps in enumerate(exponents):

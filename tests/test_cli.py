@@ -414,7 +414,10 @@ class TestPredictionTables:
     @pytest.mark.parametrize("body, message", [
         ("row,prediction\n0,0.5\n1\n2,0.5\n", "blank cell in column 'prediction', row 1"),
         ("prediction\n0.5\n0.5\nabc\n", "non-numeric value 'abc' in column 'prediction', row 2"),
-    ], ids=["short_row", "non_numeric"])
+        ("prediction\n0.5\nnan\n0.5\n", "non-finite value 'nan' in column 'prediction', row 1"),
+        ("prediction\n-inf\n0.5\n", "non-finite value '-inf' in column 'prediction', row 0"),
+        ("prediction\n0.5\n1e999\n", "non-finite value '1e999' in column 'prediction', row 1"),
+    ], ids=["short_row", "non_numeric", "nan", "minus_inf", "overflowing"])
     @pytest.mark.parametrize("command", ["evaluate", "care"])
     def test_bad_cell_exit_2_names_the_file_and_row(self, tmp_path, simulated, capsys,
                                                      command, body, message):
@@ -542,6 +545,30 @@ class TestWideRow:
             args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
         assert main(args + ["--out", str(tmp_path / "o")]) == 2
         assert f"error: {table}: row 59 has 2 cells, the header 1\n" in capsys.readouterr().err
+
+
+class TestNonFiniteCell:
+    """A nan or infinite cell is refused with exit 2 where it is read, never taken as a number."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "care", "evaluate"])
+    @pytest.mark.parametrize("row, column, cell", [
+        ("0.2,nan,0", "time", "nan"),
+        ("0.2,inf,0", "time", "inf"),
+        ("nan,6,0", "x1", "nan"),
+    ], ids=["nan_time", "inf_time", "nan_covariate"])
+    def test_data_file(self, tmp_path, capsys, command, row, column, cell):
+        data = tmp_path / "d.csv"
+        data.write_text(f"x1,time,event\n0.1,5,1\n{row}\n0.3,7,1\n")
+        configs = {"fit": {"kernel": CV_CONFIG["kernel"], "gamma": 0.1}, "cv": CV_CONFIG,
+                   "care": dict(CV_CONFIG, externals=[{"builtin": "univariate_perturbed"}],
+                                theta_resolution=5)}
+        args = [command, str(data)] + ([str(data)] if command in ("cv", "care") else [])
+        if command in configs:
+            args += ["--config", write_json(tmp_path / "c.json", configs[command])]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert (f"error: {data}: non-finite value {cell!r} in column {column!r}, row 1\n"
+                in capsys.readouterr().err)
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("o_")]
 
 
 class TestOutputsOverwrittenInPlace:

@@ -60,6 +60,20 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCellError):
             load_csv(path)
 
+    @pytest.mark.parametrize("row, column, cell", [
+        ("0.1,nan,1", "time", "nan"),
+        ("0.1,inf,1", "time", "inf"),
+        ("-inf,2,1", "x1", "-inf"),
+        ("0.1,1e999,0", "time", "1e999"),
+        ("NaN,2,1", "x1", "NaN"),
+    ], ids=["nan_time", "inf_time", "minus_inf_covariate", "overflowing_time", "nan_covariate"])
+    def test_non_finite_cell_rejected_naming_file_column_and_row(self, tmp_path, row,
+                                                                 column, cell):
+        path = _write(tmp_path / "d.csv", f"x1,time,event\n0.1,2,1\n{row}\n")
+        with pytest.raises(NonNumericCellError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: non-finite value {cell!r} in column {column!r}, row 1"
+
     def test_explicit_covariate_columns(self, tmp_path):
         path = _write(tmp_path / "d.csv", "a,b,time,event\n1,2,1,1\n3,4,2,0\n")
         data = load_csv(path, covariate_columns=["b"])
@@ -176,6 +190,11 @@ class TestDatasetInvariants:
             SurvivalDataset([[0.1]], [1.5], [False])
         with pytest.raises(NonPositiveTimeError):
             SurvivalDataset([[0.1]], [0.0], [False])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
+    def test_raw_times_must_be_finite_and_positive(self, bad):
+        with pytest.raises(NonPositiveTimeError, match="^times must be finite and positive$"):
+            SurvivalDataset.from_raw_times([[0.1], [0.2]], [2.0, bad], [False, False])
 
     def test_event_order_sorted_with_stable_ties(self):
         data = SurvivalDataset([[0.0], [1.0], [2.0], [3.0]],

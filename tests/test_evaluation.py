@@ -7,6 +7,7 @@ import pytest
 from conftest import all_censored_dataset
 from evaluation_oracle import concordance_index_reference, step_survival_at
 from survcare import (
+    DataFormatError,
     NoComparablePairsError,
     StepSurvival,
     SurvivalDataset,
@@ -185,6 +186,20 @@ class TestL2ErrorMc:
         alone = [l2_error_mc(f, truth, self.sampler, 1237, 9) for f in fits]
         assert isinstance(alone[0], float) and errors.shape == (5,)
         assert errors.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("predict, truth", [
+        (lambda xs: np.zeros(1), lambda xs: xs[:, 0]),
+        (lambda xs: xs[:, 0], lambda xs: np.zeros(1)),
+        (lambda xs: xs[:, 0], lambda xs: xs[:, :1]),
+        (lambda xs: np.zeros((xs.shape[0], 2, 1)), lambda xs: xs[:, 0]),
+        (lambda xs: np.zeros((1, 3)), lambda xs: xs[:, 0]),
+        (lambda xs: 0.5, lambda xs: xs[:, 0]),
+    ], ids=["one_prediction", "one_truth", "column_truth", "three_d_prediction",
+            "one_row_of_fits", "scalar_prediction"])
+    def test_mis_shaped_values_are_refused_never_broadcast(self, predict, truth):
+        # at n = 5 each of these used to broadcast into some error value
+        with pytest.raises(DataFormatError, match="^expected 5 "):
+            l2_error_mc(predict, truth, self.sampler, 5, 0)
 
     def test_non_finite_rejected(self):
         f = lambda xs: np.full(xs.shape[0], np.inf)
