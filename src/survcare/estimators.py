@@ -73,6 +73,7 @@ class KernelEstimator:
         return {
             "kernel": kernel_to_json(self.kernel),
             "basis_points": self.basis_points.tolist(),
+            "dimension": int(self.basis_points.shape[1]),
             "beta": self.beta.tolist(),
             "kbar_at_basis": self.kbar_at_basis.tolist(),
             "converged": bool(self.converged),
@@ -82,15 +83,36 @@ class KernelEstimator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelEstimator":
+        """The estimator ``to_json`` wrote.
+
+        ``dimension`` shapes an empty basis as (0, d); an object without it
+        still loads when its basis is non-empty.
+        """
+        beta = np.asarray(obj["beta"], dtype=float)
+        basis_points = np.asarray(obj["basis_points"], dtype=float)
+        if "dimension" in obj:
+            basis_points = basis_points.reshape(beta.shape[0], int(obj["dimension"]))
         return cls(
             kernel=kernel_from_json(obj["kernel"]),
-            basis_points=np.asarray(obj["basis_points"], dtype=float),
-            beta=np.asarray(obj["beta"], dtype=float),
+            basis_points=basis_points,
+            beta=beta,
             kbar_at_basis=np.asarray(obj["kbar_at_basis"], dtype=float),
             converged=bool(obj.get("converged", True)),
             gradient_norm=float(obj.get("gradient_norm", 0.0)),
             hilbert_norm_squared=float(obj.get("hilbert_norm_squared", 0.0)),
         )
+
+
+def _transform_norm(from_beta: np.ndarray, scale: np.ndarray) -> float:
+    """max_j sum_i |from_beta_ij| scale_i: it bounds the theta-space gradient by the inner one.
+
+    Summed over blocks of 64 rows, so no m x m temporary is formed.
+    """
+    sums = np.zeros(from_beta.shape[1])
+    for start in range(0, from_beta.shape[0], 64):
+        rows = slice(start, start + 64)
+        sums += scale[rows] @ np.abs(from_beta[rows])
+    return float(sums.max())
 
 
 def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
@@ -129,7 +151,7 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     # tightened by the transform norm so the theta-space gradient meets the
     # requested tolerance
     level = LevelEvaluation(problem, gamma)
-    transform_norm = float(np.abs(problem.from_beta * level.scale[:, None]).sum(axis=0).max())
+    transform_norm = _transform_norm(problem.from_beta, level.scale)
     inner = replace(opts, gradient_tolerance=max(
         opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13))
     checked = None  # (v's bytes, theta, its point, its theta-space gradient norm)
@@ -137,7 +159,7 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     def theta_check(v):
         nonlocal checked
         if checked is None or checked[0] != v.tobytes():
-            theta = problem.to_beta @ (v / level.scale)
+            theta = problem.to_theta(v / level.scale)
             point = PenalisedPoint(problem, problem.from_beta @ theta)
             norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max())
             checked = (v.tobytes(), theta, point, norm)

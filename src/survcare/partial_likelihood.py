@@ -56,9 +56,11 @@ forms the (n+1) x (n+1) bordered matrix.  Centring that factor gives R for
 khat without forming khat, whose formula loses digits to cancellation when
 khat is far smaller than the Gram entries.  The centred factor is one spike
 row over an upper-triangular block, so R is a rank-one update of that block,
-reduced one block of rows at a time (``_centred_penalty_factor``), and the
-preconditioner inverts R by halves (``_upper_triangular_inverse``): neither
-step runs a dense QR or LU of an m x m matrix.
+reduced one block of rows at a time (``_centred_penalty_factor``).  The same
+block rotations, applied to the factor's basis rows, whiten the design there,
+so neither R's inverse nor the design at the basis points is ever formed, and
+no dense QR or LU of an m x m matrix runs.  Coefficients come back from the
+preconditioned coordinates by substitution through R's diagonal blocks.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ from .kernels import KernelConfig, constant_norm_squared, gram_matrix
 SCHUR_DIAGONAL_REL_TOL = 1e-10
 # Columns per block of the basis factorisation: one matrix product per block.
 _BASIS_BLOCK = 64
+# Rows of the whitened design rotated per product: few enough to bound the
+# temporary, many enough that each product amortises packing the rotation.
+_ROTATED_ROWS = 256
 # Smallest normal double: a shifted suffix sum below it carries fewer bits.
 _TINY = np.finfo(float).tiny
 
@@ -206,9 +211,11 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
     ``SCHUR_DIAGONAL_REL_TOL`` times the largest entry of the bordered
     matrix, and skipped otherwise.  Blocks of columns take their Schur
     complement with one matrix product against the factor so far; within a
-    block each accepted column updates only the block's later columns.  The
-    bordered matrix is never formed: the constant's column is factored
-    first, on its own, and every block of points reads ``gram`` in place.
+    block each accepted column updates only the block's own later columns,
+    and the rows below the block take their entries in its accepted columns
+    from one solve with the block's triangular factor.  The bordered matrix
+    is never formed: the constant's column is factored first, on its own,
+    and every block of points reads ``gram`` in place.
     Returns (basis, lower): the accepted training indices (the constant's
     column excluded), sorted ascending and 0-based, and the (m+1) x (m+1)
     lower-triangular factor, a view of the working array, with lower @
@@ -231,14 +238,22 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
         start, stop = max(block, 1), min(block + _BASIS_BLOCK, n + 1)
         r = len(accepted)
         schur = k[start - 1:, start - 1:stop - 1] - factor[start:, :r] @ factor[start:stop, :r].T
-        for c in range(stop - start):
-            diag = schur[c, c]
+        width = stop - start
+        own = schur[:width]  # the block's diagonal block, a view
+        for c in range(width):
+            diag = own[c, c]
             if not diag > tol:
                 continue
-            col = schur[c:, c] / np.sqrt(diag)
-            factor[start + c:, len(accepted)] = col
+            col = own[c:, c] / np.sqrt(diag)
+            factor[start + c:stop, len(accepted)] = col
             accepted.append(start + c)
-            schur[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:stop - start - c]
+            own[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:]
+        taken = np.array(accepted[r:], dtype=int)
+        if taken.size and stop <= n:
+            # the rows below: their Schur entries in the accepted columns are
+            # their factor rows times the block's lower-triangular factor'
+            factor[stop:, r:len(accepted)] = np.linalg.solve(
+                factor[taken, r:len(accepted)], schur[width:, taken - start].T).T
     # gather the accepted rows in place: row accepted[r] >= r is read before
     # any later step writes it
     for r, row in enumerate(accepted):
@@ -247,8 +262,8 @@ def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, 
     return basis, factor[:len(accepted), :len(accepted)]
 
 
-def _centred_penalty_factor(lower: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """The upper-triangular R with R'R = khat over the basis, from the selector's factor.
+def _centred_penalty_factor(lower: np.ndarray, kb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R with R'R = khat over the basis, and the basis rows of the design whitened by it.
 
     ``lower`` is the (m+1) x (m+1) factor of ``build_representer_basis`` and
     ``kb`` holds kbar at the m basis points.  The centred sections are
@@ -261,9 +276,17 @@ def _centred_penalty_factor(lower: np.ndarray, kb: np.ndarray) -> np.ndarray:
     diagonal block gives that block's rows of R, and one product with its Q
     carries the block's rows and the spike across the trailing columns.  With
     m <= ``_BASIS_BLOCK`` that is one QR of M itself.
+
+    Since lower lower' is the bordered matrix, the design at the basis points
+    is D_A = lower[1:] M, and with M = Q [R; 0] its whitened rows D_A R^-1
+    are lower[1:] Q[:, :m]: each block's Q is applied to the matching columns
+    of lower[1:] as it is found, so no inverse of R is formed.  ``lower`` is
+    overwritten; the returned (R, W_A) has W_A a view of it.
     """
     m = kb.shape[0]
     upper = lower[1:, 1:].T
+    # lower[1:]'s column 0 multiplies the spike row; it is rotated along with each block
+    basis_rows = lower[1:]
     spike = lower[1:, 0] - lower[0, 0] * kb  # M's first row, over the columns left
     factor = np.zeros((m, m))
     for start in range(0, m, _BASIS_BLOCK):
@@ -274,52 +297,43 @@ def _centred_penalty_factor(lower: np.ndarray, kb: np.ndarray) -> np.ndarray:
         trailing = q.T @ rows[:, stop - start:]
         factor[start:stop, stop:] = trailing[:-1]
         spike = trailing[-1]
-    return factor
+        # U's rows start:stop were copied into rows above, so their columns
+        # of lower[1:] are free to take the whitened design
+        rotated = np.column_stack((basis_rows[:, 0], basis_rows[:, 1 + start:1 + stop])) @ q
+        basis_rows[:, 1 + start:1 + stop] = rotated[:, :-1]
+        basis_rows[:, 0] = rotated[:, -1]
+    return factor, basis_rows[:, 1:]
 
 
-def _halves(m: int) -> int:
-    """Where a triangular matrix of order m > ``_BASIS_BLOCK`` splits: a block boundary near m/2."""
-    return -(-(m // 2) // _BASIS_BLOCK) * _BASIS_BLOCK
-
-
-def _upper_triangular_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X with factor @ X = rhs for upper-triangular ``factor``, by halves.
-
-    The trailing half is solved first and its product moved to the right-hand
-    side of the leading half; blocks of at most ``_BASIS_BLOCK`` go to
-    ``np.linalg.solve``, whose partial pivoting never swaps a row of a
-    triangular matrix, so each block is back substitution.
-    """
+def _diagonal_block_inverses(factor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The inverses of the upper-triangular ``factor``'s diagonal blocks of ``_BASIS_BLOCK``."""
     m = factor.shape[0]
-    if m <= _BASIS_BLOCK:
-        return np.linalg.solve(factor, rhs)
-    k = _halves(m)
+    return tuple(np.linalg.inv(factor[s:s + _BASIS_BLOCK, s:s + _BASIS_BLOCK])
+                 for s in range(0, m, _BASIS_BLOCK))
+
+
+def _forward_substitute(factor: np.ndarray, inverses, rhs: np.ndarray) -> np.ndarray:
+    """X with factor' X = rhs, by forward substitution over diagonal blocks.
+
+    ``inverses`` are ``_diagonal_block_inverses(factor)``; ``rhs`` is a
+    vector or has one right-hand side per column.
+    """
     x = np.empty_like(rhs)
-    x[k:] = _upper_triangular_solve(factor[k:, k:], rhs[k:])
-    x[:k] = _upper_triangular_solve(factor[:k, :k], rhs[:k] - factor[:k, k:] @ x[k:])
+    for start in range(0, factor.shape[0], _BASIS_BLOCK):
+        stop = start + _BASIS_BLOCK
+        inv = inverses[start // _BASIS_BLOCK]
+        x[start:stop] = inv.T @ (rhs[start:stop] - factor[:start, start:stop].T @ x[:start])
     return x
 
 
-def _upper_triangular_inverse(factor: np.ndarray) -> np.ndarray:
-    """The inverse of a nonsingular upper-triangular matrix, by halves.
-
-    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]], with both
-    diagonal inverses formed the same way and the corner by solving with A,
-    not by multiplying with A^-1, which keeps the residual factor @ X - I as
-    small as a column-by-column back substitution leaves it (Du Croz and
-    Higham, IMA J. Numer. Anal. 1992).  Blocks of at most ``_BASIS_BLOCK``
-    go to ``np.linalg.inv``.  The lower triangle of the result is zero.
-    """
-    m = factor.shape[0]
-    if m <= _BASIS_BLOCK:
-        return np.linalg.inv(factor)
-    k = _halves(m)
-    inverse = np.zeros((m, m))
-    inverse[k:, k:] = _upper_triangular_inverse(factor[k:, k:])
-    inverse[:k, :k] = _upper_triangular_inverse(factor[:k, :k])
-    inverse[:k, k:] = _upper_triangular_solve(factor[:k, :k],
-                                              -(factor[:k, k:] @ inverse[k:, k:]))
-    return inverse
+def _back_substitute(factor: np.ndarray, inverses, rhs: np.ndarray) -> np.ndarray:
+    """X with factor X = rhs, by back substitution over diagonal blocks."""
+    x = np.empty_like(rhs)
+    for start in reversed(range(0, factor.shape[0], _BASIS_BLOCK)):
+        stop = start + _BASIS_BLOCK
+        inv = inverses[start // _BASIS_BLOCK]
+        x[start:stop] = inv @ (rhs[start:stop] - factor[start:stop, stop:] @ x[stop:])
+    return x
 
 
 @dataclass
@@ -329,60 +343,69 @@ class PenalisedProblem:
     D (n x m) holds per-record values of m basis functions and R is an exact
     upper-triangular factor of their positive definite Gram form, so every
     fitting route is one choice of (D, R).  The penalty is R'R by definition:
-    no m x m penalty matrix is formed or stored, and ``from_beta`` carries R.
-    Nor is D: the one n x m array kept is its preconditioned image
-    ``prec_design``, and D theta = prec_design @ (from_beta @ theta).
-    Everything stored is gamma-independent, so one
-    problem serves a whole regularisation path.  Immutable after
-    construction.
+    no m x m penalty matrix is formed or stored, and ``factor`` is R.  Nor is
+    D: the one n x m array kept is its preconditioned image ``prec_design``,
+    and D theta = prec_design @ (from_beta @ theta).  Everything stored is
+    gamma-independent, so one problem serves a whole regularisation path.
+    Immutable after construction.
 
     Fitting does not run in theta coordinates directly: the penalty and the
     likelihood curvature are both severely ill-conditioned for smooth kernels.
     ``precondition`` therefore prepares a two-stage linear change of
     variables.  First the penalty is whitened through R, so in w = R theta it
-    is w'w; then the whitened design is rotated into the eigenbasis Q of its
-    own second-moment matrix, whose eigenvalues ``curvature`` proxy the
+    is w'w; then the whitened design D R^-1 is rotated into the eigenbasis Q of
+    its own second-moment matrix, whose eigenvalues ``curvature`` proxy the
     likelihood Hessian.  Per regularisation level the fit scales these
     coordinates by sqrt(2 gamma + curvature), which makes the effective
     Hessian nearly the identity for every gamma.  The change of variables is
     exact, so the minimised objective and the resulting fitted function are
-    unchanged.
+    unchanged.  Its inverse is ``to_theta``.
     """
 
     dataset: SurvivalDataset
-    prec_design: np.ndarray   # D @ to_beta, n x m
+    prec_design: np.ndarray   # D R^-1 Q, n x m
     curvature: np.ndarray     # eigenvalues of the whitened design moment matrix
-    to_beta: np.ndarray       # theta = to_beta @ w
     from_beta: np.ndarray     # w = from_beta @ theta = Q' R theta
+    factor: np.ndarray        # R
+    block_inverses: tuple[np.ndarray, ...]  # of R's diagonal blocks, for to_theta
 
     @classmethod
-    def precondition(cls, dataset: SurvivalDataset, design: np.ndarray, factor: np.ndarray,
+    def precondition(cls, dataset: SurvivalDataset, whitened: np.ndarray, factor: np.ndarray,
                      **fields):
-        """Build the problem for ``design`` and ``factor``, the R of the penalty R'R.
+        """Build the problem from the design whitened by ``factor``, the R of the penalty R'R.
 
-        R is upper triangular and nonsingular; ``fields`` go to a subclass.
-        Its inverse, formed by halves (``_upper_triangular_inverse``),
-        whitens the design.  A design the caller holds no reference to is
-        freed once whitened.
+        ``whitened`` is D R^-1 for the design D, and R is upper triangular and
+        nonsingular; ``fields`` go to a subclass.  ``whitened`` is rotated in
+        place, one block of rows at a time, and becomes ``prec_design``, so no
+        second n x m array is formed.
         """
-        factor_inv = _upper_triangular_inverse(factor)
-        whitened = design @ factor_inv
-        del design
-        curvature, rot = np.linalg.eigh((whitened.T @ whitened) / len(dataset))
+        moment = whitened.T @ whitened
+        moment /= len(dataset)
+        curvature, rot = np.linalg.eigh(moment)
+        del moment
         curvature = np.maximum(curvature, 0.0)
-        to_beta = factor_inv @ rot
-        del factor_inv
-        prec_design = whitened @ rot
-        del whitened
+        for start in range(0, whitened.shape[0], _ROTATED_ROWS):
+            rows = slice(start, start + _ROTATED_ROWS)
+            whitened[rows] = whitened[rows] @ rot
         from_beta = rot.T @ factor
-        arrays = (prec_design, curvature, to_beta, from_beta)
-        for arr in arrays:
+        inverses = _diagonal_block_inverses(factor)
+        for arr in (whitened, curvature, from_beta, factor, *inverses):
             arr.flags.writeable = False
-        return cls(dataset, *arrays, **fields)
+        return cls(dataset, whitened, curvature, from_beta, factor, inverses, **fields)
 
     def scale(self, gamma: float) -> np.ndarray:
         """Per-coordinate scaling sqrt(2 gamma + curvature) for one level."""
         return np.sqrt(2.0 * gamma + self.curvature)
+
+    def to_theta(self, w: np.ndarray) -> np.ndarray:
+        """The theta with from_beta @ theta = w, for a vector or each column of w.
+
+        It solves R'R theta = from_beta' w (= R'Q w) by a forward and a back
+        substitution over R's diagonal blocks.
+        """
+        rhs = self.from_beta.T @ w
+        half = _forward_substitute(self.factor, self.block_inverses, rhs)
+        return _back_substitute(self.factor, self.block_inverses, half)
 
 
 @dataclass
@@ -392,7 +415,10 @@ class RepresenterContext(PenalisedProblem):
     ``basis`` indexes the training points whose centred kernel sections span
     the fit, so theta is the coefficient vector beta of the module docstring.
     ``kernel`` is the kernel the context was built with.  The Gram matrix is
-    freed before whitening, and the design once it is whitened.
+    freed before whitening, and the design D is never formed at the basis
+    points: their whitened rows come from the selector's factor
+    (``_centred_penalty_factor``).  Training points outside the basis (a
+    polynomial kernel's, or duplicates) are whitened by a solve with R.
     """
 
     basis: np.ndarray
@@ -405,17 +431,25 @@ class RepresenterContext(PenalisedProblem):
         basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
         kbar = gram.mean(axis=0)
         kb = kbar[basis]
-        # lower and the Gram are freed before whitening allocates
-        factor = _centred_penalty_factor(lower, kb)
-        del lower
-        ktilde = [gram[:, basis] - kb[None, :]]
+        in_basis = np.zeros(len(dataset), dtype=bool)
+        in_basis[basis] = True
+        outside = np.flatnonzero(~in_basis)
+        design_outside = gram[outside][:, basis] - kb
         del gram
+        factor, at_basis = _centred_penalty_factor(lower, kb)
+        del lower
+        if outside.size:
+            # D R^-1 for the rows outside the basis: R' X = D'
+            whitened = np.empty((len(dataset), basis.shape[0]))
+            whitened[basis] = at_basis
+            whitened[outside] = _forward_substitute(
+                factor, _diagonal_block_inverses(factor), design_outside.T).T
+        else:
+            whitened = at_basis
+        del at_basis
         basis.flags.writeable = False
         kbar.flags.writeable = False
-        # popped into the call, so no reference stays here and precondition
-        # frees the design once it is whitened
-        return cls.precondition(dataset, ktilde.pop(), factor, basis=basis, kbar=kbar,
-                                 kernel=kernel)
+        return cls.precondition(dataset, whitened, factor, basis=basis, kbar=kbar, kernel=kernel)
 
     @property
     def basis_size(self) -> int:
@@ -467,12 +501,13 @@ def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float,
 class LevelEvaluation:
     """One regularisation level of a problem, evaluated in preconditioned coordinates.
 
-    A point v stands for the ``PenalisedPoint`` at w = v / scale, so theta =
-    to_beta @ w, where ``scale`` is the level's ``scale(gamma)``, computed
-    once.  The object remembers the last point it scored.  A line search asks
-    for the gradient only at the point it accepts, which it has just scored,
-    so ``preconditioned_gradient`` at a point bitwise equal to that one
-    reuses its pass and adds only the weights and the transposed product.
+    A point v stands for the ``PenalisedPoint`` at w = v / scale, whose theta
+    is ``to_theta(w)``, where ``scale`` is the level's ``scale(gamma)``,
+    computed once.  The object remembers the last point it scored.  A line
+    search asks for the gradient only at the point it accepts, which it has
+    just scored, so ``preconditioned_gradient`` at a point bitwise equal to
+    that one reuses its pass and adds only the weights and the transposed
+    product.
     Any other point is scored afresh.
     """
 

@@ -87,23 +87,32 @@ def rref_basis_and_factor(gram_entries, cns) -> tuple[np.ndarray, np.ndarray]:
     column whose Schur-complement diagonal is numerically zero.  Given the
     library's columns it reproduces the library's factor bit for bit.
     """
-    bordered = bordered_matrix(gram_entries, cns)
-    n = bordered.shape[0] - 1
-    allowed = set((rref_basis(gram_entries, cns) + 1).tolist()) | {0}
-    tol = SCHUR_DIAGONAL_REL_TOL * max(float(np.abs(bordered).max()), np.finfo(float).tiny)
+    gram = np.asarray(gram_entries, dtype=float)
+    n = gram.shape[0]
+    allowed = set((rref_basis(gram, cns) + 1).tolist())
+    tol = SCHUR_DIAGONAL_REL_TOL * float(np.abs(bordered_matrix(gram, cns)).max())
     factor = np.zeros((n + 1, n + 1))
-    accepted: list[int] = []
-    for start in range(0, n + 1, _BASIS_BLOCK):
-        stop = min(start + _BASIS_BLOCK, n + 1)
+    factor[0, 0], factor[1:, 0] = cns, 1.0
+    factor[:, 0] /= np.sqrt(cns)
+    accepted = [0]
+    for block in range(0, n + 1, _BASIS_BLOCK):
+        start, stop = max(block, 1), min(block + _BASIS_BLOCK, n + 1)
         r = len(accepted)
-        schur = bordered[start:, start:stop] - factor[start:, :r] @ factor[start:stop, :r].T
-        for c in range(stop - start):
-            diag = schur[c, c]
-            if start + c not in allowed or not (diag > tol or start + c == 0):
+        schur = (gram[start - 1:, start - 1:stop - 1]
+                 - factor[start:, :r] @ factor[start:stop, :r].T)
+        width = stop - start
+        own = schur[:width]
+        for c in range(width):
+            diag = own[c, c]
+            if start + c not in allowed or not diag > tol:
                 continue
-            col = schur[c:, c] / np.sqrt(diag)
-            factor[start + c:, len(accepted)] = col
+            col = own[c:, c] / np.sqrt(diag)
+            factor[start + c:stop, len(accepted)] = col
             accepted.append(start + c)
-            schur[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:stop - start - c]
+            own[c + 1:, c + 1:] -= col[1:, None] * col[None, 1:]
+        taken = np.array(accepted[r:], dtype=int)
+        if taken.size and stop <= n:
+            factor[stop:, r:len(accepted)] = np.linalg.solve(
+                factor[taken, r:len(accepted)], schur[width:, taken - start].T).T
     basis = np.array(accepted[1:], dtype=int) - 1
     return basis, factor[accepted, :len(accepted)]

@@ -103,8 +103,10 @@ def fit_feature_map_estimator(train, kernel: PolynomialKernel, gamma: float,
     means = phi[:, :-1].mean(axis=0)
     u = means / c
     penalty = np.eye(u.shape[0]) + np.outer(u, u)
-    problem = PenalisedProblem.precondition(
-        train, phi[:, :-1] - means[None, :], np.linalg.cholesky(penalty).T)
+    factor = np.linalg.cholesky(penalty).T
+    # the design whitened by the penalty's factor: D R^-1, by a solve with R'
+    whitened = np.linalg.solve(factor.T, (phi[:, :-1] - means[None, :]).T).T
+    problem = PenalisedProblem.precondition(train, whitened, factor)
     result, fit_warning, _ = _fit_penalised(problem, gamma, warm, options)
     alpha = result.minimizer
     return FeatureMapEstimator(

@@ -25,7 +25,7 @@ from basis_oracle import (
     rref_basis,
     rref_basis_and_factor,
 )
-from likelihood_oracle import fitted_values, penalized_objective
+from likelihood_oracle import fitted_values, ktilde_design, penalized_objective
 from survcare import (
     AdditiveKernel,
     GaussianKernel,
@@ -45,7 +45,7 @@ GAMMA = 0.1
 OBJECTIVE_REL_GAP = 1e-8
 FITTED_SUP_GAP = 1e-6
 
-CONTEXT_ARRAYS = ("basis", "kbar", "prec_design", "curvature", "to_beta", "from_beta")
+CONTEXT_ARRAYS = ("basis", "kbar", "prec_design", "curvature", "from_beta", "factor")
 
 
 def kernel_and_dimension():
@@ -145,7 +145,7 @@ def test_penalty_factor_is_exact(problem):
     # second term
     kernel, data = problem
     ctx = RepresenterContext.build(data, kernel)
-    assert np.all(np.isfinite(ctx.to_beta))
+    assert np.all(np.isfinite(ctx.to_theta(np.eye(ctx.basis_size))))
     if ctx.basis_size:
         gram = gram_matrix(kernel, data.covariates)
         cns = constant_norm_squared(kernel)
@@ -153,6 +153,23 @@ def test_penalty_factor_is_exact(problem):
         gap = np.abs(ctx.from_beta.T @ ctx.from_beta - khat).max()
         terms = np.abs(bordered_matrix(gram, cns)).max()
         assert gap <= 1e-11 * np.abs(khat).max() + 1e-14 * terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(problem=basis_problems())
+def test_whitened_design_is_exact(problem):
+    # prec_design @ from_beta = W Q Q' R = W R for the whitened design W,
+    # which must give back D = ktilde at every training point: at the basis
+    # points, whitened through the selector's factor, and at the duplicates
+    # and near duplicates outside the basis, whitened by a solve with R.
+    # Bounded as the penalty factor's gap, against a Gram formed afresh
+    kernel, data = problem
+    ctx = RepresenterContext.build(data, kernel)
+    design = ktilde_design(ctx)
+    gap = np.abs(ctx.prec_design @ ctx.from_beta - design).max(initial=0.0)
+    terms = np.abs(bordered_matrix(gram_matrix(kernel, data.covariates),
+                                   constant_norm_squared(kernel))).max()
+    assert gap <= 1e-11 * np.abs(design).max(initial=0.0) + 1e-14 * terms
 
 
 def test_empty_basis_at_origin():

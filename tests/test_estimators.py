@@ -7,6 +7,7 @@ from basis_oracle import rref_basis_and_factor
 from conftest import all_censored_dataset
 from feature_map_oracle import feature_matrix, fit_feature_map_estimator
 from likelihood_oracle import fitted_values
+from newton_oracle import newton_reference
 from survcare import (
     CenteredExternal,
     DgpConfig,
@@ -213,6 +214,39 @@ class TestRoundingFloorStop:
         assert len(est.objective_trace) - 1 <= 50
 
 
+class TestNewtonReference:
+    """Every converged level of a 50-level path against its Newton-refined reference.
+
+    The reference (``newton_oracle``) runs exact Newton steps from the fit
+    with the dense Hessian, so it is the level's solution to rounding; a
+    converged fit's training values lie within 1e-6 (sup) of it.
+    """
+
+    GRID = GammaGrid.geometric(1e-5, 10.0, 50)
+
+    @pytest.mark.parametrize("dgp, n, seed, kernel", [
+        ("univariate", 200, 1, Sobolev1Kernel(shift=1.0)),
+        ("univariate", 200, 2, Sobolev1Kernel(shift=1.0)),
+        pytest.param(
+            "multivariate_d10", 100, 1, GaussianKernel(shift=0.5, lengthscales=(0.5,) * 10),
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "the 1e-8 theta-gradient test stops the levels near gamma = 1e-5 up to "
+                "2e-6 from the solution; a stop rule on fitted values would mend it"))),
+    ], ids=["univariate-seed1", "univariate-seed2", "gaussian_d10"])
+    def test_converged_levels_lie_near_the_reference(self, dgp, n, seed, kernel):
+        data, _ = simulate_dataset(DgpConfig(dgp), n, seed)
+        ctx = RepresenterContext.build(data, kernel)
+        warm, gaps = None, {}
+        for gamma in reversed(self.GRID.values):  # as a path runs: warm starts, descending
+            est = fit_kernel_estimator(data, kernel, gamma, warm=warm, ctx=ctx)
+            warm = est.beta
+            if est.converged:
+                reference = newton_reference(ctx, gamma, est.beta)
+                gaps[gamma] = np.abs(est.predict_many(data.covariates) - reference).max()
+        assert len(gaps) >= 45
+        assert max(gaps.values()) <= 1e-6, gaps
+
+
 class TestPredict:
     def test_zero_beta_everywhere_zero(self, small_dataset, sob1):
         ctx = RepresenterContext.build(small_dataset, sob1)
@@ -384,3 +418,25 @@ class TestSerialization:
         again = KernelEstimator.from_json(json.loads(blob))
         xs = np.linspace(0, 1, 9)[:, None]
         np.testing.assert_allclose(again.predict_many(xs), est.predict_many(xs), rtol=1e-15)
+
+    def test_empty_basis_round_trip(self):
+        # the one-point fit of test_empty_basis_degenerates_to_zero; its basis
+        # is written as [], so only the dimension key keeps its shape
+        data = SurvivalDataset([[0.0]], [0.5], [False])
+        est = fit_kernel_estimator(data, Sobolev1Kernel(shift=2.0), 0.1)
+        obj = json.loads(json.dumps(est.to_json()))
+        assert obj["basis_points"] == [] and obj["dimension"] == 1
+        again = KernelEstimator.from_json(obj)
+        assert again.basis_points.shape == (0, 1)
+        np.testing.assert_array_equal(again.predict_many([0.7, 0.2]), [0.0, 0.0])
+        with pytest.raises(ValueError, match="expected dimension 1, got 2"):
+            again.predict_many([[0.7, 0.2]])
+
+    def test_json_without_dimension_loads_a_non_empty_basis(self, small_dataset, sob1):
+        est = fit_kernel_estimator(small_dataset, sob1, 0.1)
+        obj = est.to_json()
+        del obj["dimension"]
+        again = KernelEstimator.from_json(json.loads(json.dumps(obj)))
+        xs = np.linspace(0, 1, 9)[:, None]
+        assert again.basis_points.shape == est.basis_points.shape
+        np.testing.assert_array_equal(again.predict_many(xs), est.predict_many(xs))

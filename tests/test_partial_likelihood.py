@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -34,9 +33,11 @@ from survcare import partial_likelihood
 from survcare.partial_likelihood import (
     LevelEvaluation,
     RepresenterContext,
+    _back_substitute,
     _centred_penalty_factor,
+    _diagonal_block_inverses,
+    _forward_substitute,
     _sorted_neg_log_partial_likelihood,
-    _upper_triangular_inverse,
     likelihood_gradient_weights,
     preconditioned_gradient,
     preconditioned_objective,
@@ -302,7 +303,7 @@ class TestPenalizedObjective:
             penalized_objective(np.zeros(ctx.basis_size), ctx, 0.0)
 
     def test_centering_of_ktilde_columns(self, ctx):
-        # prec_design = ktilde @ to_beta, so its columns are centred with ktilde's
+        # prec_design = ktilde R^-1 Q, so its columns are centred with ktilde's
         assert np.abs(ctx.prec_design.mean(axis=0)).max() <= 1e-10
 
     def test_khat_symmetric_psd(self, ctx, sob1):
@@ -359,7 +360,7 @@ class TestPenalizedGradient:
         rng = np.random.default_rng(9)
         gamma = 0.3
         v = rng.normal(size=ctx.basis_size)
-        beta = ctx.to_beta @ (v / ctx.scale(gamma))
+        beta = ctx.to_theta(v / ctx.scale(gamma))
         level = LevelEvaluation(ctx, gamma)
         assert preconditioned_objective(v, level) == pytest.approx(
             penalized_objective(beta, ctx, gamma), rel=1e-10)
@@ -377,7 +378,7 @@ class TestPenalizedGradient:
         rng = np.random.default_rng(10)
         beta = rng.normal(size=ctx.basis_size)
         np.testing.assert_allclose(
-            ctx.to_beta @ (ctx.from_beta @ beta), beta, atol=1e-8)
+            ctx.to_theta(ctx.from_beta @ beta), beta, atol=1e-8)
 
 
 def reference_objective(v, ctx, gamma):
@@ -528,13 +529,13 @@ def test_context_retains_only_what_a_fit_reads():
     assert retained <= 1.1 * 8 * (n * m + 2 * m * m)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before 3.11 the caller's stack keeps a call's arguments alive")
 def test_context_build_peaks_at_five_square_arrays():
-    # Sobolev-1 at n=800, where the basis is every point, so each of D, R, its
-    # inverse, the whitened design, the moment matrix and its eigenvectors is
-    # n x n.  Whitening needs the last five at once; D must be freed by then,
-    # and the inverse before the rotated design is formed, or a sixth is live
+    # Sobolev-1 at n=800, where the basis is every point, so each of the
+    # Gram matrix, the selector's factor, R, the moment matrix, its
+    # eigenvectors and the design is n x n.  The Gram is freed before R is
+    # formed, the whitened design overwrites the selector's factor and is
+    # rotated in place, so at most four are live at once, whether or not the
+    # Python version keeps a call's arguments alive until it returns
     data, _ = simulate_dataset(DgpConfig("univariate"), 800, 1)
     tracemalloc.start()
     try:
@@ -559,11 +560,11 @@ PENALTY_KERNELS = {
 
 
 def centred_penalty_case(kernel, points):
-    """The selector's factor, kbar at the basis and M = lower' [-kb'; I]."""
+    """The selector's factor, kbar at the basis, M = lower' [-kb'; I] and D at the basis."""
     gram = gram_matrix(kernel, points)
     basis, lower = build_representer_basis(gram, constant_norm_squared(kernel))
     kb = gram.mean(axis=0)[basis]
-    return lower, kb, lower[1:].T - np.outer(lower[0], kb)
+    return lower, kb, lower[1:].T - np.outer(lower[0], kb), gram[np.ix_(basis, basis)] - kb
 
 
 def penalty_cases():
@@ -578,8 +579,8 @@ def penalty_cases():
                          ids=[case[0] for case in penalty_cases()])
 class TestCentredPenaltyFactor:
     def test_factor_is_exact_and_triangular(self, kernel, points):
-        lower, kb, design = centred_penalty_case(kernel, points)
-        factor = _centred_penalty_factor(lower, kb)
+        lower, kb, design, _ = centred_penalty_case(kernel, points)
+        factor, _ = _centred_penalty_factor(lower, kb)
         m = kb.shape[0]
         if isinstance(kernel, (Sobolev1Kernel, GaussianKernel)):
             assert m == len(points)
@@ -591,17 +592,28 @@ class TestCentredPenaltyFactor:
             # one block is one QR of M itself, as a dense factorisation gives it
             assert factor.tobytes() == np.linalg.qr(design, mode="r").tobytes()
 
-    def test_inverse_by_halves(self, kernel, points):
-        lower, kb, _ = centred_penalty_case(kernel, points)
-        factor = _centred_penalty_factor(lower, kb)
-        inverse = _upper_triangular_inverse(factor)
+    def test_whitened_basis_rows(self, kernel, points):
+        # W R = D at the basis points, to the rounding of the selector's
+        # factor, whose entries are of the bordered matrix's size
+        lower, kb, _, at_basis = centred_penalty_case(kernel, points)
+        factor, whitened = _centred_penalty_factor(lower, kb)
+        assert whitened.shape == at_basis.shape
+        terms = max(np.abs(at_basis).max(initial=0.0) + np.abs(kb).max(initial=0.0), 1.0,
+                    constant_norm_squared(kernel))
+        assert np.abs(whitened @ factor - at_basis).max(initial=0.0) <= 1e-14 * terms
+
+    def test_block_substitutions(self, kernel, points):
+        # normwise backward stable, as triangular substitution is (Higham,
+        # Accuracy and Stability of Numerical Algorithms, section 8.1)
+        lower, kb, _, _ = centred_penalty_case(kernel, points)
+        factor, _ = _centred_penalty_factor(lower, kb)
         m = factor.shape[0]
-        assert inverse.shape == (m, m)
-        assert np.all(np.tril(inverse, -1) == 0.0)
-        if m <= partial_likelihood._BASIS_BLOCK:
-            assert inverse.tobytes() == np.linalg.inv(factor).tobytes()
-        if m:
-            identity = np.eye(m)
-            residual = np.abs(factor @ inverse - identity).max()
-            dense = np.abs(factor @ np.linalg.inv(factor) - identity).max()
-            assert residual <= 4.0 * dense
+        inverses = _diagonal_block_inverses(factor)
+        assert len(inverses) == -(-m // partial_likelihood._BASIS_BLOCK)
+        rhs = np.random.default_rng(m).normal(size=(m, 3))
+        for matrix, x in ((factor, _back_substitute(factor, inverses, rhs)),
+                          (factor.T, _forward_substitute(factor, inverses, rhs))):
+            assert x.shape == rhs.shape
+            if m:
+                bound = m * np.finfo(float).eps * np.abs(matrix).max() * np.abs(x).max()
+                assert np.abs(matrix @ x - rhs).max() <= bound
