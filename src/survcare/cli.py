@@ -11,13 +11,13 @@ prints on stderr as ``warning: <message>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
 
-import jsonschema
 import numpy as np
 
 from .data import (
@@ -159,13 +159,24 @@ CONFIG_SCHEMAS = {
     },
 }
 
-# jsonschema counts an integral float such as 40.0 as an "integer", but every
-# integer setting is used as a Python int (a size, a count or a seed)
-_ConfigValidator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
-)
+
+@functools.cache
+def _config_validator():
+    """The validator class of every config, built on the first config read.
+
+    jsonschema is imported here, not with the module, so a caller that never
+    reads a config file (``run_study`` in-process) does not pay for it.
+    """
+    import jsonschema
+
+    # jsonschema counts an integral float such as 40.0 as an "integer", but every
+    # integer setting is used as a Python int (a size, a count or a seed)
+    return jsonschema.validators.extend(
+        jsonschema.Draft202012Validator,
+        type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)),
+    )
+
 
 BUILTIN_EXTERNALS = {
     "univariate_perturbed": "univariate",
@@ -174,13 +185,15 @@ BUILTIN_EXTERNALS = {
 
 
 def _load_config(path: str, command: str) -> dict:
+    import jsonschema
+
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     try:
-        jsonschema.validate(obj, CONFIG_SCHEMAS[command], cls=_ConfigValidator)
+        jsonschema.validate(obj, CONFIG_SCHEMAS[command], cls=_config_validator())
     except jsonschema.ValidationError as exc:
         field = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"{path}: invalid config at {field}: {exc.message}") from None

@@ -76,7 +76,7 @@ def as_points(points, dimension: int | None = None) -> np.ndarray:
         raise DataFormatError(f"points must form a non-empty (n, d) array, got shape {pts.shape}")
     if dimension is not None and pts.shape[1] != dimension:
         raise DataFormatError(f"expected dimension {dimension}, got {pts.shape[1]}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise DataFormatError("points must be finite")
     return pts
 
@@ -90,7 +90,7 @@ def as_record_values(values, n: int, what: str, dtype=float) -> np.ndarray:
     out = np.asarray(values, dtype=dtype)
     if out.shape != (n,):
         raise DataFormatError(f"expected {n} {what}, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DataFormatError(f"{what} must be finite")
     return out
 

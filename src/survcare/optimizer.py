@@ -13,6 +13,7 @@ can hand the gradient the work the two share.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -48,6 +49,11 @@ class OptimResult:
     iterations: int
     converged: bool
     trace: list[float] = field(default_factory=list)
+
+
+def _norm(v) -> float:
+    """The Euclidean norm of a vector: numpy's norm, sqrt(v . v), without its call overhead."""
+    return math.sqrt(float(v @ v))
 
 
 def _inverse_hessian_times(g, h0, pairs):
@@ -96,18 +102,19 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     """
     opts = options or OptimOptions()
     x = np.array(init, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("initial point must be finite")
     fx = float(objective(x))
-    if not np.isfinite(fx):
+    if not math.isfinite(fx):
         raise ValueError("objective is not finite at the initial point")
     g = np.asarray(gradient(x), dtype=float)
-    h0 = 1.0 / (1.0 + float(np.linalg.norm(g)))
+    g_max = float(np.abs(g).max())  # NaN or inf when g is not finite
+    h0 = 1.0 / (1.0 + _norm(g))
     pairs = []  # (s, y, 1 / s'y) accepted since the last restart
     trace = [fx]
     iterations = 0
-    finite = bool(np.all(np.isfinite(g)))
-    converged = finite and float(np.abs(g).max()) <= opts.gradient_tolerance
+    finite = math.isfinite(g_max)
+    converged = finite and g_max <= opts.gradient_tolerance
 
     while finite and not converged and iterations < opts.max_iterations:
         direction = -_inverse_hessian_times(g, h0, pairs)
@@ -115,7 +122,7 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
         if slope >= 0.0:
             # numerical loss of positive definiteness; restart from steepest descent
             pairs = []
-            h0 = 1.0 / (1.0 + float(np.linalg.norm(g)))
+            h0 = 1.0 / (1.0 + _norm(g))
             direction = -h0 * g
             slope = float(g @ direction)
         if slope >= -1e-16 * abs(fx):
@@ -125,31 +132,32 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * direction
             f_new = float(objective(x_new))
-            if np.isfinite(f_new) and f_new <= fx + ARMIJO_SLOPE * step * slope:
+            if math.isfinite(f_new) and f_new <= fx + ARMIJO_SLOPE * step * slope:
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR
         if not accepted:
             break
         g_new = np.asarray(gradient(x_new), dtype=float)
-        if not np.all(np.isfinite(g_new)):
+        g_new_max = float(np.abs(g_new).max())
+        if not math.isfinite(g_new_max):
             break  # no usable search direction from x_new; keep the last iterate
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-12 * _norm(s) * _norm(y):
             pairs.append((s, y, 1.0 / sy))
         floor = not f_new < fx
-        x, g, fx = x_new, g_new, f_new
+        x, g, fx, g_max = x_new, g_new, f_new, g_new_max
         trace.append(fx)
         iterations += 1
-        converged = float(np.abs(g).max()) <= opts.gradient_tolerance or (
+        converged = g_max <= opts.gradient_tolerance or (
             floor and stop is not None and bool(stop(x)))
 
     return OptimResult(
         minimizer=x,
         objective_value=fx,
-        gradient_norm=float(np.abs(g).max()),
+        gradient_norm=g_max,
         iterations=iterations,
         converged=converged,
         trace=trace,

@@ -11,11 +11,14 @@ around +-30 during line searches are handled exactly.  When f spreads beyond
 the exponent range, a shifted suffix sum can fall below the smallest normal
 double and lose precision, or underflow to 0; those risk sums are accumulated
 in log space instead.  The gradient weights switch to log space when a
-reciprocal risk sum overflows.  Both stay accurate and finite however far f
-spreads.  The core works on values already gathered into the sorted order of
-the dataset's risk index, one vector or one per column of an (n, P) matrix.
-One pass of it (the shift, the exponentials, the risk-set suffix sums and
-their logs) is a ``LikelihoodPass``, from which the loss and the gradient
+reciprocal risk sum, or a running sum of them, overflows.  Both stay
+accurate and finite however far f spreads.  Only a pass that can reach
+these paths enters ``np.errstate`` to silence the log of zero and the
+overflow it expects; one within the exponent range leaves numpy's error
+state alone.  The core works on values already gathered into the sorted
+order of the dataset's risk index, one vector or one per column of an (n, P)
+matrix.  One pass of it (the shift, the exponentials, the risk-set suffix sums
+and their logs) is a ``LikelihoodPass``, from which the loss and the gradient
 weights are both read: ``neg_log_partial_likelihood`` and
 ``likelihood_gradient_weights`` each run one pass at one vector.  The theta
 scan of ``model_selection``, which scores many combinations of the same
@@ -65,6 +68,8 @@ preconditioned coordinates by substitution through R's diagonal blocks.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +88,8 @@ _BASIS_BLOCK = 64
 _ROTATED_ROWS = 256
 # Smallest normal double: a shifted suffix sum below it carries fewer bits.
 _TINY = np.finfo(float).tiny
+# The log of the largest double, less a margin for rounding: exp stays finite below it.
+_LOG_HUGE = math.log(np.finfo(float).max) - 1.0
 
 
 def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
@@ -96,14 +103,16 @@ def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
     """
     m = fs.max(axis=0)
     shifted = np.exp(fs - m)
-    suffix = np.cumsum(shifted[::-1], axis=0)[::-1]
+    suffix = shifted[::-1].cumsum(axis=0)[::-1]
     sums = suffix[idx.event_start]
+    if sums.size and sums.min() >= _TINY:
+        return m, m + np.log(sums), shifted
+    # no event, or a shifted suffix sum below the normal range has lost
+    # precision or underflowed to 0; sum those suffixes in log space instead
     with np.errstate(divide="ignore"):
         log_risk = m + np.log(sums)
     normal = sums >= _TINY
-    if not np.all(normal):
-        # a shifted suffix sum below the normal range has lost precision or
-        # underflowed to 0; sum those suffixes in log space instead
+    if not normal.all():
         log_suffix = np.logaddexp.accumulate(fs[::-1], axis=0)[::-1]
         log_risk = np.where(normal, log_risk, log_suffix[idx.event_start])
     return m, log_risk, shifted
@@ -112,6 +121,8 @@ def _sorted_log_risk_sums(fs: np.ndarray, idx: RiskSetIndex):
 def _column_sums(values: np.ndarray):
     # each column summed as one contiguous row, so with numpy's pairwise
     # summation a column's sum is bit-identical to the sum of it alone
+    if values.ndim == 1:
+        return values.sum()
     return np.ascontiguousarray(values.T).sum(axis=-1)
 
 
@@ -160,11 +171,15 @@ class LikelihoodPass:
         # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
         # suffix sum, so shifted * cumulative(1/Stilde) stays bounded by 1 per term.
         inv_sums = np.zeros(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_sums[idx.event_positions] = np.exp(-(log_risk - self.max))
-            cum = np.cumsum(inv_sums)[idx.group_end]
+        exponents = self.max - log_risk
+        # a running sum of at most n reciprocals, each below exp(_LOG_HUGE - log n),
+        # stays finite; only a larger (or NaN) exponent needs the guard and the check
+        guarded = exponents.size and not exponents.max() < _LOG_HUGE - math.log(n)
+        with np.errstate(over="ignore", invalid="ignore") if guarded else contextlib.nullcontext():
+            inv_sums[idx.event_positions] = np.exp(exponents)
+            cum = inv_sums.cumsum()[idx.group_end]
             u_sorted = (self.shifted * cum - ev) / n
-        if not np.all(np.isfinite(u_sorted)):
+        if guarded and not np.isfinite(u_sorted).all():
             # f spreads by more than the exponent range, so some 1/Stilde
             # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
             neg_log_sums = np.full(n, -np.inf)
@@ -469,7 +484,7 @@ class PenalisedPoint:
         self.problem = problem
         self.w = w
         self.fitted = problem.prec_design @ w
-        if not np.all(np.isfinite(self.fitted)):
+        if not np.isfinite(self.fitted).all():
             raise ValueError("relative-risk values must be finite")
         self.likelihood = LikelihoodPass(self.fitted, problem.dataset.risk_index())
 
@@ -491,7 +506,7 @@ def penalized_gradient(beta, ctx: PenalisedProblem, gamma: float,
     beta = np.asarray(beta, dtype=float)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ValueError("beta must be finite")
     if point is None:
         point = PenalisedPoint(ctx, ctx.from_beta @ beta)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +65,27 @@ class TestSimulate:
         main(["simulate", "--config", sim_config, "--out", out1, "--seed", "10", "--quiet"])
         main(["simulate", "--config", sim_config, "--out", out2, "--seed", "10", "--quiet"])
         assert open(f"{out1}_data.csv").read() == open(f"{out2}_data.csv").read()
+
+
+class TestLazySchema:
+    """jsonschema is imported on the first config read, not with the module."""
+
+    def test_import_leaves_it_out_and_a_bad_config_still_exits_2(self, tmp_path):
+        cfg = write_json(tmp_path / "bad.json", {"dgp": "univariate", "n": -3})
+        script = (
+            "import sys\n"
+            "import survcare.cli\n"
+            "assert 'jsonschema' not in sys.modules, 'jsonschema imported with the module'\n"
+            f"sys.exit(survcare.cli.main(['simulate', '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path / 'o')!r}]))\n")
+        src = os.path.dirname(os.path.dirname(survcare.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"error: {cfg}: invalid config at n: -3 is less than the minimum of 1\n"
+        assert not list(tmp_path.glob("o_*"))
 
 
 class TestFit:

@@ -30,6 +30,7 @@ from survcare import (
     simulate_dataset,
 )
 from survcare import partial_likelihood
+from survcare.optimizer import OptimOptions, minimize_bfgs
 from survcare.partial_likelihood import (
     LevelEvaluation,
     RepresenterContext,
@@ -144,7 +145,8 @@ class TestStackedLikelihood:
         losses = stacked_losses(stack, data)
         assert losses.shape == (stack.shape[0],)
         singles = np.array([neg_log_partial_likelihood(row, data) for row in stack])
-        np.testing.assert_allclose(losses, singles, rtol=1e-12, atol=0.0)
+        # bit for bit, as the core's docstring promises
+        assert losses.tobytes() == singles.tobytes()
         if not data.events.any():
             assert np.all(losses == 0.0)
 
@@ -495,6 +497,75 @@ class TestLevelEvaluation:
             ctx.prec_design @ (ctx.from_beta @ est.beta), small_dataset)
         w = ctx.from_beta @ est.beta
         assert est.hilbert_norm_squared == float(w @ w)
+
+
+def falling_values(data):
+    """f falling by 4000 along the time order, as in test_suffix_max_fallback_is_reached."""
+    f = np.empty(len(data))
+    f[data.risk_index().order] = np.linspace(2000.0, -2000.0, len(data))
+    return f
+
+
+def no_warning_cases(small_dataset):
+    """(data, f) pairs that reach the fallbacks, or that have no risk set to sum."""
+    # after the first event, 99 reciprocal risk sums exp(708.3) / k, k = 1..99: each
+    # lies below the largest double over e, yet their running sum overflows
+    n = 100
+    late = SurvivalDataset(np.zeros((n, 1)), np.arange(1, n + 1) / n, np.zeros(n, dtype=bool))
+    censored = all_censored_dataset()
+    return {
+        "falling_by_4000": (small_dataset, falling_values(small_dataset)),
+        "running_sum_overflows": (late, np.r_[0.0, np.full(n - 1, -708.3)]),
+        "all_censored": (censored, np.linspace(-3.0, 3.0, len(censored))),
+        "single_record": (SurvivalDataset([[0.2]], [0.7], [False]), np.array([3.7])),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+class TestNoWarningEscapes:
+    """No RuntimeWarning escapes a pass, its fallbacks or a fit, even as errors."""
+
+    @pytest.mark.parametrize("case", ["falling_by_4000", "running_sum_overflows",
+                                      "all_censored", "single_record"])
+    def test_loss_weights_and_stacked_core(self, small_dataset, case):
+        data, f = no_warning_cases(small_dataset)[case]
+        loss = neg_log_partial_likelihood(f, data)
+        weights = likelihood_gradient_weights(f, data)
+        stacked = stacked_losses(np.vstack([f, np.zeros_like(f), f]), data)
+        assert np.isfinite(loss) and np.isfinite(weights).all()
+        assert stacked[0] == stacked[2] == loss
+
+    def test_running_sum_overflow_takes_the_log_space_weights(self, small_dataset):
+        data, f = no_warning_cases(small_dataset)["running_sum_overflows"]
+        likelihood = partial_likelihood.LikelihoodPass(f, data.risk_index())
+        exponents = likelihood.max - likelihood.log_risk
+        assert exponents.max() < math.log(np.finfo(float).max) - 1.0
+        with np.errstate(over="ignore"):
+            assert np.exp(exponents).sum() == np.inf
+        # to the floor of TestGradientWeights, eps * max|f| in absolute terms
+        np.testing.assert_allclose(likelihood.gradient_weights(), naive_gradient_weights(f, data),
+                                   rtol=1e-12, atol=1e-15 * np.abs(f).max())
+
+    def test_level_at_the_spread_point(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        level = LevelEvaluation(ctx, 0.3)
+        v = spread_point(ctx, 0.3)
+        assert np.isfinite(preconditioned_objective(v, level))
+        assert np.isfinite(preconditioned_gradient(v, level)).all()
+
+    def test_bfgs_from_the_spread_point(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        level = LevelEvaluation(ctx, 0.3)
+        result = minimize_bfgs(lambda v: preconditioned_objective(v, level),
+                               lambda v: preconditioned_gradient(v, level),
+                               spread_point(ctx, 0.3), OptimOptions(max_iterations=50))
+        assert result.iterations > 0 and result.trace[-1] < result.trace[0]
+
+    @pytest.mark.parametrize("case", ["all_censored", "single_record"])
+    def test_fit(self, small_dataset, sob1, case):
+        data, _ = no_warning_cases(small_dataset)[case]
+        est = fit_kernel_estimator(data, sob1, 0.1)
+        assert est.converged and np.isfinite(est.beta).all()
 
 
 class TestMultivariateContext:
