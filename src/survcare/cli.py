@@ -17,6 +17,7 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +33,18 @@ from .data import (
 )
 from .estimators import fit_kernel_estimator
 from .evaluation import StepSurvival, breslow_survival, concordance_index, l2_error_mc
-from .kernels import NotInSpaceError, constant_norm_squared, cross_matrix, kernel_from_json
+from .kernels import (
+    KernelConfig,
+    NotInSpaceError,
+    constant_norm_squared,
+    cross_matrix,
+    kernel_from_json,
+)
 from .model_selection import (
     AllFitsFailed,
     ExternalSpec,
     GammaGrid,
+    ThetaGrid,
     fit_care_path,
     theta_grid,
 )
@@ -188,7 +196,7 @@ def _load_config(path: str, command: str) -> dict:
     import jsonschema
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
@@ -385,29 +393,32 @@ def _derive_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-ESTIMATOR_ORDER = {"cv_kernel": 0, "oracle_kernel": 1, "care": 2, "external": 3}
+ESTIMATOR_ORDER = ("cv_kernel", "oracle_kernel", "care", "external")
 
 
-def _study_replication(payload: dict) -> dict:
-    """One (n, rep) replication; returns tidy rows or an error message."""
-    n = payload["n"]
-    rep = payload["rep"]
+class _Study(NamedTuple):
+    """The settings every replication of a study shares."""
+
+    dgp: DgpConfig
+    kernel: KernelConfig
+    grid: GammaGrid
+    thetas: ThetaGrid | None  # the one external's weights; None for a kernel-only study
+    options: OptimOptions
+    seed: int
+    mc_points: int
+
+
+def _study_replication(study: _Study, cell: tuple[int, int]) -> tuple[list[list], str | None]:
+    """The (n, rep) replication: its results rows in ``ESTIMATOR_ORDER``, or an error message."""
+    n, rep = cell
     try:
-        dgp = payload["dgp"]
-        kernel = payload["kernel"]
-        grid = payload["grid"]
-        options = payload["optimizer"]
-        master = payload["seed"]
-        mc_points = payload["mc_points"]
+        data, truth = simulate_dataset(study.dgp, 2 * n, _derive_seed(study.seed, n, rep, 0))
+        train, valid = split_train_validation(data, _derive_seed(study.seed, n, rep, 1))
+        mc_seed = _derive_seed(study.seed, n, rep, 2)
 
-        data, truth = simulate_dataset(dgp, 2 * n, _derive_seed(master, n, rep, 0))
-        train, valid = split_train_validation(data, _derive_seed(master, n, rep, 1))
-        mc_seed = _derive_seed(master, n, rep, 2)
-
-        thetas = payload["thetas"]
-        externals = [ExternalSpec(name="dgp_external", fn=truth.external)] if thetas else []
-        care, report, fits = fit_care_path(train, valid, kernel, grid, externals,
-                                           thetas, options)
+        externals = [ExternalSpec(name="dgp_external", fn=truth.external)] if study.thetas else []
+        care, report, fits = fit_care_path(train, valid, study.kernel, study.grid, externals,
+                                           study.thetas, study.options)
 
         converged = [e.gamma for e in report.gamma_entries if e.converged]
 
@@ -424,24 +435,20 @@ def _study_replication(payload: dict) -> dict:
             return np.array(columns).T
 
         # one Monte-Carlo pass scores every fit of the replication
-        l2 = l2_error_mc(fitted, truth.f0, truth.sampler(), mc_points, mc_seed).tolist()
+        l2 = l2_error_mc(fitted, truth.f0, truth.sampler(), study.mc_points, mc_seed).tolist()
         errors = dict(zip(converged, l2))
         gamma_star = min(converged, key=lambda g: (errors[g], g))
 
-        rows = [
-            {"n": n, "rep": rep, "estimator": "cv_kernel",
-             "l2_error": errors[report.gamma_hat], "gamma": report.gamma_hat, "theta": ()},
-            {"n": n, "rep": rep, "estimator": "oracle_kernel",
-             "l2_error": errors[gamma_star], "gamma": gamma_star, "theta": ()},
-        ]
+        # n, rep, estimator, l2_error, gamma, theta
+        rows = [[n, rep, "cv_kernel", errors[report.gamma_hat], report.gamma_hat, ""],
+                [n, rep, "oracle_kernel", errors[gamma_star], gamma_star, ""]]
         if externals:
-            rows.append({"n": n, "rep": rep, "estimator": "care",
-                         "l2_error": l2[-2], "gamma": care.gamma, "theta": care.theta})
-            rows.append({"n": n, "rep": rep, "estimator": "external",
-                         "l2_error": l2[-1], "gamma": None, "theta": ()})
-        return {"n": n, "rep": rep, "rows": rows, "error": None}
+            rows += [[n, rep, "care", l2[-2], care.gamma,
+                      ";".join(repr(float(t)) for t in care.theta)],
+                     [n, rep, "external", l2[-1], None, ""]]
+        return rows, None
     except Exception as exc:  # replication failures are recorded, not fatal
-        return {"n": n, "rep": rep, "rows": [], "error": f"{type(exc).__name__}: {exc}"}
+        return [], f"{type(exc).__name__}: {exc}"
 
 
 def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = False) -> int:
@@ -463,63 +470,49 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     constant_norm_squared(kernel)
     # the kernel's own check that it fits the generator's dimension
     cross_matrix(kernel, np.zeros((1, dgp.dimension)), np.zeros((1, dgp.dimension)))
-    grid = _gamma_grid(config["gamma_grid"])
     thetas = theta_grid(1, config.get("theta_resolution", 20)) \
         if config.get("use_external", False) else None
-    options = _optimizer(config.get("optimizer"))
-    mc_points = config.get("mc_points", 500)
+    study = _Study(dgp, kernel, _gamma_grid(config["gamma_grid"]), thetas,
+                   _optimizer(config.get("optimizer")), config.get("seed", 0),
+                   config.get("mc_points", 500))
     # numpy refuses an array of more than np.iinfo(np.intp).max bytes, so a
     # (2n, d) draw or (mc_points, d) design beyond it fails every replication
     max_rows = np.iinfo(np.intp).max // (dgp.dimension * np.dtype(float).itemsize)
     for name, rows in [*((f"n_values entry {n}", 2 * n) for n in config["n_values"]),
-                       ("mc_points", mc_points)]:
+                       ("mc_points", study.mc_points)]:
         if rows > max_rows:
             raise ConfigError(f"invalid study config: {name} needs a ({rows}, "
                               f"{dgp.dimension}) array, beyond numpy's limit of "
                               f"{max_rows} rows")
-    payloads = [
-        {
-            "dgp": dgp,
-            "kernel": kernel,
-            "grid": grid,
-            "optimizer": options,
-            "n": n,
-            "rep": rep,
-            "seed": config.get("seed", 0),
-            "thetas": thetas,
-            "mc_points": mc_points,
-        }
-        for n in config["n_values"]
-        for rep in range(config["replications"])
-    ]
-    workers = min(workers, len(payloads))
+    cells = [(n, rep) for n in config["n_values"] for rep in range(config["replications"])]
+    replicate = functools.partial(_study_replication, study)
+    workers = min(workers, len(cells))
     if workers > 1:
         # the pool starts all of its processes up front, so never more than
         # there are replications
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_study_replication, payloads))
+            outcomes = list(pool.map(replicate, cells))
     else:
-        outcomes = [_study_replication(p) for p in payloads]
+        outcomes = [replicate(cell) for cell in cells]
 
-    failures = [o for o in outcomes if o["error"] is not None]
-    for o in failures:
-        print(f"replication (n={o['n']}, rep={o['rep']}) failed: {o['error']}",
-              file=sys.stderr)
-    rows = [r for o in outcomes for r in o["rows"]]
-    rows.sort(key=lambda r: (r["n"], r["rep"], ESTIMATOR_ORDER[r["estimator"]]))
+    failures = [(cell, error) for cell, (_, error) in zip(cells, outcomes) if error is not None]
+    for (n, rep), error in failures:
+        print(f"replication (n={n}, rep={rep}) failed: {error}", file=sys.stderr)
+    # cells run rep-ascending within each n, and each replication's rows are
+    # in estimator order, so a stable sort by n gives (n, rep, estimator)
+    rows = sorted((r for replication_rows, _ in outcomes for r in replication_rows),
+                  key=lambda r: r[0])
 
     results_path = f"{out_prefix}_results.csv"
-    write_table(results_path, ["n", "rep", "estimator", "l2_error", "gamma", "theta"], (
-        [r["n"], r["rep"], r["estimator"], r["l2_error"], r["gamma"],
-         ";".join(repr(float(t)) for t in r["theta"])] for r in rows))
+    write_table(results_path, ["n", "rep", "estimator", "l2_error", "gamma", "theta"], rows)
 
     summary_path = f"{out_prefix}_summary.csv"
-    groups: dict[tuple[int, str], list[float]] = {}
-    for r in rows:
-        groups.setdefault((r["n"], r["estimator"]), []).append(r["l2_error"])
+    groups: dict[tuple[int, str], list[float]] = {}  # in (n, estimator) order, as the rows
+    for n, _, estimator, l2_error, *_ in rows:
+        groups.setdefault((n, estimator), []).append(l2_error)
     summary = []
-    for (n, est) in sorted(groups, key=lambda k: (k[0], ESTIMATOR_ORDER[k[1]])):
-        vals = np.asarray(groups[(n, est)])
+    for (n, est), values in groups.items():
+        vals = np.asarray(values)
         mean = float(vals.mean())
         sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         half = 2.0 * sd / float(np.sqrt(vals.size))
@@ -527,7 +520,7 @@ def run_study(config: dict, out_prefix: str, workers: int = 1, quiet: bool = Fal
     write_table(summary_path, ["n", "estimator", "n_rep", "mean_l2_error", "sd_l2_error",
                                "ci_low", "ci_high"], summary)
 
-    total = len(payloads)
+    total = len(cells)
     ok = total - len(failures)
     _emit(quiet,
           [f"{ok}/{total} replications succeeded",

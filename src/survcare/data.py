@@ -212,9 +212,10 @@ def read_rows(path, select):
 
     ``select`` names the columns to read and raises when one is missing; the
     header is None if the file has none.  A repeated column name is refused,
-    and so is a row wider than the header (a trailing comma included).
+    and so is a row wider than the header (a trailing comma included).  One
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         for j, name in enumerate(header or ()):

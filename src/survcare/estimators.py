@@ -26,6 +26,7 @@ from .partial_likelihood import (
     PenalisedPoint,
     PenalisedProblem,
     RepresenterContext,
+    # not called here; perfbench/tracing.py patches the name in this module
     neg_log_partial_likelihood,
     penalized_gradient,
     preconditioned_gradient,
@@ -112,7 +113,7 @@ def _transform_norm(from_beta: np.ndarray, scale: np.ndarray) -> float:
     for start in range(0, from_beta.shape[0], 64):
         rows = slice(start, start + 64)
         sums += scale[rows] @ np.abs(from_beta[rows])
-    return float(sums.max())
+    return float(sums.max(initial=0.0))
 
 
 def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
@@ -130,7 +131,8 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     accepted step with no representable decrease, the level stops as
     converged if the check passes there.  The check remembers the last point
     it read, so the final check of a level the rule stopped reuses it and
-    the two cannot disagree.
+    the two cannot disagree.  An empty basis (m = 0) takes the same path:
+    every maximum over its empty gradients is 0, so BFGS starts converged.
     """
     if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -142,10 +144,6 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     fit_warning = None
     if not train.events.any():
         fit_warning = "all records censored: likelihood is constant, fitted function is zero"
-    if m == 0:  # empty basis: the centred span is {0}
-        loss = neg_log_partial_likelihood(np.zeros(len(train)), train)
-        return (OptimResult(np.zeros(0), loss, 0.0, 0, True, [loss]), fit_warning,
-                PenalisedPoint(problem, init))
     opts = options or OptimOptions()
     # optimise in the preconditioned coordinates; the inner tolerance is
     # tightened by the transform norm so the theta-space gradient meets the
@@ -161,7 +159,7 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
         if checked is None or checked[0] != v.tobytes():
             theta = problem.to_theta(v / level.scale)
             point = PenalisedPoint(problem, problem.from_beta @ theta)
-            norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max())
+            norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max(initial=0.0))
             checked = (v.tobytes(), theta, point, norm)
         return checked
 

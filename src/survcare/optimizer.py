@@ -108,7 +108,7 @@ def minimize_bfgs(objective, gradient, init, options: OptimOptions | None = None
     if not math.isfinite(fx):
         raise ValueError("objective is not finite at the initial point")
     g = np.asarray(gradient(x), dtype=float)
-    g_max = float(np.abs(g).max())  # NaN or inf when g is not finite
+    g_max = float(np.abs(g).max(initial=0.0))  # NaN or inf when g is not finite
     h0 = 1.0 / (1.0 + _norm(g))
     pairs = []  # (s, y, 1 / s'y) accepted since the last restart
     trace = [fx]

@@ -12,8 +12,8 @@ import survcare.cli
 from survcare.cli import main
 
 
-def write_json(path, obj):
-    path.write_text(json.dumps(obj), encoding="utf-8")
+def write_json(path, obj, encoding="utf-8"):
+    path.write_text(json.dumps(obj), encoding=encoding)
     return str(path)
 
 
@@ -89,9 +89,12 @@ class TestLazySchema:
 
 
 class TestFit:
-    def test_fit_writes_estimator_and_predictions(self, tmp_path, simulated):
+    # "utf-8-sig" writes a byte-order mark, as Windows Notepad does
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_fit_writes_estimator_and_predictions(self, tmp_path, simulated, encoding):
         cfg = write_json(tmp_path / "fit.json",
-                         {"kernel": {"variant": "sobolev1", "shift": 1.0}, "gamma": 0.1})
+                         {"kernel": {"variant": "sobolev1", "shift": 1.0}, "gamma": 0.1},
+                         encoding)
         out = str(tmp_path / "fit")
         code = main(["fit", f"{simulated}_data.csv", "--config", cfg,
                      "--out", out, "--quiet"])
@@ -105,6 +108,17 @@ class TestFit:
         assert len(rows) == len(data)
         np.testing.assert_allclose(
             [float(r["prediction"]) for r in rows], preds, rtol=1e-12)
+
+    def test_all_censored_data_warns_and_exits_0(self, tmp_path, capsys):
+        data = tmp_path / "censored.csv"
+        data.write_text("x1,time,event\n0.1,1,0\n0.5,2,0\n0.9,3,0\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "fit.json", {"kernel": CV_CONFIG["kernel"], "gamma": 0.1})
+        out = str(tmp_path / "fit")
+        assert main(["fit", str(data), "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: all records censored: likelihood is constant, fitted function is zero\n")
+        with open(f"{out}_predictions.csv", newline="") as fh:
+            assert [float(r["prediction"]) for r in csv.DictReader(fh)] == [0.0] * 3
 
 
 class TestCv:
@@ -124,6 +138,15 @@ class TestCv:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert set(rows[0]) == {"gamma", "train_loss", "valid_loss", "converged"}
+
+    def test_linear_grid_is_evenly_spaced(self, tmp_path, simulated):
+        cfg = write_json(tmp_path / "cv.json", dict(CV_CONFIG, gamma_grid={
+            "min": 0.1, "max": 1.0, "count": 4, "geometric": False}))
+        out = str(tmp_path / "cv")
+        assert main(["cv", f"{simulated}_data.csv", f"{simulated}_data.csv",
+                     "--config", cfg, "--out", out, "--quiet"]) == 0
+        with open(f"{out}_cv.csv", newline="") as fh:
+            assert [r["gamma"] for r in csv.DictReader(fh)] == ["0.1", "0.4", "0.7", "1.0"]
 
     def test_empty_gamma_grid_exit_2(self, tmp_path, simulated):
         cfg = write_json(tmp_path / "cv.json",
@@ -195,10 +218,11 @@ class TestCare:
             rows = list(csv.DictReader(fh))
         assert {r["role"] for r in rows} == {"train", "valid"}
 
-    def test_table_external(self, tmp_path, simulated):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_table_external(self, tmp_path, simulated, encoding):
         data = load_csv(f"{simulated}_data.csv")
         table = tmp_path / "ext.csv"
-        with open(table, "w", newline="") as fh:
+        with open(table, "w", newline="", encoding=encoding) as fh:
             writer = csv.writer(fh)
             writer.writerow(["prediction"])
             for v in np.linspace(-1, 1, len(data)):
@@ -433,6 +457,20 @@ def test_integral_float_for_an_integer_exit_2(tmp_path, simulated, capsys, comma
     assert not list(tmp_path.glob("out_*"))
 
 
+@pytest.mark.parametrize("command", sorted(INTEGER_CONFIGS))
+def test_invalid_json_config_exit_2(tmp_path, simulated, capsys, command):
+    cfg = tmp_path / "cut.json"
+    cfg.write_text(json.dumps(INTEGER_CONFIGS[command])[:-1], encoding="utf-8")
+    data = f"{simulated}_data.csv"
+    inputs = {"fit": [data], "cv": [data, data], "care": [data, data]}
+    args = [command, *inputs.get(command, []), "--config", str(cfg),
+            "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: invalid JSON (") and err.endswith(")\n")
+    assert not list(tmp_path.glob("out_*"))
+
+
 class TestPredictionTables:
     @pytest.mark.parametrize("body, message", [
         ("row,prediction\n0,0.5\n1\n2,0.5\n", "blank cell in column 'prediction', row 1"),
@@ -440,7 +478,10 @@ class TestPredictionTables:
         ("prediction\n0.5\nnan\n0.5\n", "non-finite value 'nan' in column 'prediction', row 1"),
         ("prediction\n-inf\n0.5\n", "non-finite value '-inf' in column 'prediction', row 0"),
         ("prediction\n0.5\n1e999\n", "non-finite value '1e999' in column 'prediction', row 1"),
-    ], ids=["short_row", "non_numeric", "nan", "minus_inf", "overflowing"])
+        ("\ufeffprediction\n0.5\nnan\n", "non-finite value 'nan' in column 'prediction', row 1"),
+        ("row,value\n0,0.5\n", "prediction table needs a 'prediction' column"),
+    ], ids=["short_row", "non_numeric", "nan", "minus_inf", "overflowing", "byte_order_mark",
+            "no_prediction_column"])
     @pytest.mark.parametrize("command", ["evaluate", "care"])
     def test_bad_cell_exit_2_names_the_file_and_row(self, tmp_path, simulated, capsys,
                                                      command, body, message):
@@ -477,10 +518,11 @@ class TestPredictionTables:
 
 
 class TestEvaluate:
-    def test_breslow_and_concordance(self, tmp_path, simulated):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_breslow_and_concordance(self, tmp_path, simulated, encoding):
         data = load_csv(f"{simulated}_data.csv")
         preds_path = tmp_path / "preds.csv"
-        with open(preds_path, "w", newline="") as fh:
+        with open(preds_path, "w", newline="", encoding=encoding) as fh:
             fh.write("prediction\n" + "\n".join(
                 repr(float(v)) for v in -data.times) + "\n")
         out = str(tmp_path / "eval")
@@ -568,6 +610,29 @@ class TestWideRow:
             args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
         assert main(args + ["--out", str(tmp_path / "o")]) == 2
         assert f"error: {table}: row 59 has 2 cells, the header 1\n" in capsys.readouterr().err
+
+
+class TestIncompleteDataFile:
+    """A data file without a header, covariates or records is refused with exit 2."""
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "care", "evaluate"])
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing header row"),
+        ("time,event\n5,1\n6,0\n", "no covariate columns"),
+        ("x1,time,event\n", "no data rows"),
+    ], ids=["empty", "no_covariates", "header_only"])
+    def test_data_file(self, tmp_path, capsys, command, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text, encoding="utf-8")
+        configs = {"fit": {"kernel": CV_CONFIG["kernel"], "gamma": 0.1}, "cv": CV_CONFIG,
+                   "care": dict(CV_CONFIG, externals=[{"builtin": "univariate_perturbed"}],
+                                theta_resolution=5)}
+        args = [command, str(data)] + ([str(data)] if command in ("cv", "care") else [])
+        if command in configs:
+            args += ["--config", write_json(tmp_path / "c.json", configs[command])]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("o_")]
 
 
 class TestNonFiniteCell:
@@ -672,12 +737,13 @@ class TestOutputsOverwrittenInPlace:
 
 
 class TestStudy:
-    def test_small_study_row_count(self, tmp_path):
+    @pytest.mark.parametrize("n_values", [[20, 30], [30, 20]], ids=["ascending", "descending"])
+    def test_small_study_row_count(self, tmp_path, n_values):
         cfg = write_json(tmp_path / "study.json", {
             "dgp": "univariate",
             "kernel": {"variant": "sobolev1", "shift": 1.0},
             "gamma_grid": {"min": 1e-3, "max": 10.0, "count": 5, "geometric": True},
-            "n_values": [20, 30],
+            "n_values": n_values,
             "replications": 3,
             "use_external": True,
             "theta_resolution": 5,
@@ -691,12 +757,17 @@ class TestStudy:
         assert len(rows) == 2 * 3 * 4  # n values x reps x estimators
         assert {r["estimator"] for r in rows} == {
             "cv_kernel", "oracle_kernel", "care", "external"}
+        order = survcare.cli.ESTIMATOR_ORDER
+        assert [(r["n"], r["rep"], r["estimator"]) for r in rows] == [
+            (str(n), str(rep), est) for n in (20, 30) for rep in range(3) for est in order]
         for row in rows:
             if row["estimator"] == "care":
                 assert 0.0 <= float(row["theta"]) <= 1.0
         with open(f"{out}_summary.csv", newline="") as fh:
             srows = list(csv.DictReader(fh))
         assert len(srows) == 2 * 4
+        assert [(r["n"], r["estimator"]) for r in srows] == [
+            (str(n), est) for n in (20, 30) for est in order]
         for row in srows:
             lo, hi = float(row["ci_low"]), float(row["ci_high"])
             assert lo <= float(row["mean_l2_error"]) <= hi
@@ -742,6 +813,19 @@ class TestStudy:
         })
         out = str(tmp_path / "study")
         assert main(["study", "--config", cfg, "--out", out, "--quiet"]) == 5
+
+    def test_seed_flag_writes_the_bytes_of_the_seed_in_config(self, tmp_path):
+        with open(self.small_study(tmp_path), encoding="utf-8") as fh:
+            config = json.load(fh)
+        assert config["seed"] != 7
+        flag, seeded = str(tmp_path / "flag"), str(tmp_path / "seeded")
+        assert main(["study", "--config", write_json(tmp_path / "a.json", config),
+                     "--out", flag, "--seed", "7", "--quiet"]) == 0
+        assert main(["study", "--config", write_json(tmp_path / "b.json", dict(config, seed=7)),
+                     "--out", seeded, "--quiet"]) == 0
+        for suffix in ("_results.csv", "_summary.csv"):
+            with open(flag + suffix, "rb") as a, open(seeded + suffix, "rb") as b:
+                assert a.read() == b.read()
 
     def test_kernel_only_study(self, tmp_path):
         cfg = self.small_study(tmp_path)
@@ -846,9 +930,9 @@ class TestStudy:
                 return False
             return True
 
-        def not_run(payload):
-            ran.append(payload)
-            return {"n": payload["n"], "rep": payload["rep"], "rows": [], "error": "not run"}
+        def not_run(study, cell):
+            ran.append(cell)
+            return [], "not run"
 
         ran = []
         monkeypatch.setattr(survcare.cli, "_study_replication", not_run)

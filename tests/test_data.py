@@ -26,9 +26,13 @@ def _write(path, text):
 
 
 class TestLoadCsv:
-    def test_normalises_times_and_flags(self, tmp_path):
-        path = _write(tmp_path / "d.csv",
-                      "x1,time,event\n0.1,2,1\n0.2,4,0\n0.3,8,1\n")
+    # a byte-order mark, as spreadsheet exports write, ahead of the time column's name
+    @pytest.mark.parametrize("text", [
+        "x1,time,event\n0.1,2,1\n0.2,4,0\n0.3,8,1\n",
+        "\ufefftime,event,x1\n2,1,0.1\n4,0,0.2\n8,1,0.3\n",
+    ], ids=["plain", "byte_order_mark"])
+    def test_normalises_times_and_flags(self, tmp_path, text):
+        path = _write(tmp_path / "d.csv", text)
         data = load_csv(path)
         np.testing.assert_allclose(data.times, [0.25, 0.5, 1.0])
         np.testing.assert_array_equal(data.censored, [False, True, False])
