@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    DataFormatError,
     SurvivalDataset,
     load_csv,
     read_rows,
@@ -32,10 +31,9 @@ from .data import (
     write_table,
 )
 from .estimators import fit_kernel_estimator
-from .evaluation import StepSurvival, breslow_survival, concordance_index, l2_error_mc
+from .evaluation import breslow_survival, concordance_index, l2_error_mc
 from .kernels import (
     KernelConfig,
-    NotInSpaceError,
     constant_norm_squared,
     cross_matrix,
     kernel_from_json,
@@ -240,7 +238,7 @@ def _read_prediction_table(path: str, expected: int, label: str) -> np.ndarray:
     """The 'prediction' column of the CSV at ``path``; ``label`` names the table."""
     def select(header):
         if header is None or "prediction" not in header:
-            raise ConfigError(f"{path}: prediction table needs a 'prediction' column")
+            raise ConfigError(f"{label} {path} needs a 'prediction' column")
         return ["prediction"]
 
     values = [v for v, in read_rows(path, select)]
@@ -369,10 +367,8 @@ def cmd_care(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data = load_csv(args.data)
-    curve = breslow_survival(data)
     breslow_path = f"{args.out}_breslow.csv"
-    # the curve's jump times are normalised; the table gives them in file units
-    StepSurvival(curve.times * data.time_scale, curve.values).to_csv(breslow_path)
+    breslow_survival(data).to_csv(breslow_path)
     outputs = {"breslow": breslow_path}
     metrics = {}
     if args.predictions:
@@ -545,11 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def output_options(p):
         p.add_argument("--out", required=True, help="output path prefix")
         p.add_argument("--quiet", action="store_true",
                        help="print only machine-readable output on stdout")
+
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON config path")
+        output_options(p)
 
     p = sub.add_parser("simulate", help="draw a dataset from a built-in generator")
     common(p)
@@ -576,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="Breslow curve and concordance metrics")
     p.add_argument("data", help="data CSV")
     p.add_argument("--predictions", default=None, help="prediction table CSV")
-    common(p, config_required=False)
+    output_options(p)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("study", help="replication study over sample sizes")
@@ -598,7 +597,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.handler(args)
-        except (ConfigError, DataFormatError, NotInSpaceError, ValueError) as exc:
+        except ValueError as exc:  # ConfigError, DataFormatError and NotInSpaceError too
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except AllFitsFailed as exc:

@@ -1,12 +1,14 @@
-"""Censored survival data: ingestion, validation, normalisation, splitting.
+"""Censored survival data: ingestion, validation, splitting.
 
 The CSV interface uses the epidemiology convention (event = 1 means the event
 was observed).  Internally the ``censored`` flag is the complement: censored
 is True when the censoring time preceded the survival time, so an observed
 event corresponds to ``censored = False``.
 
-Observed times are normalised to (0, 1] by dividing by the maximum time in
-the file; ``time_scale`` records the divisor so files round-trip exactly.
+Observed times are kept as read, in the file's units: any finite, positive
+time is accepted, and ``write_csv`` writes back the same doubles.  The
+partial likelihood depends on times only through their order and ties, and
+the Breslow curve jumps at the observed event times themselves.
 
 Two gates check every caller-supplied array in the package.  ``as_points``
 makes covariates a float (n, d) array, a 1-D array being n points of a
@@ -118,36 +120,21 @@ class RiskSetIndex:
 
 
 class SurvivalDataset:
-    """Immutable collection of (covariates, time in (0, 1], censored) records."""
+    """Immutable collection of (covariates, time, censored) records, times as read."""
 
-    def __init__(self, covariates, times, censored, time_scale: float = 1.0):
+    def __init__(self, covariates, times, censored):
         covariates = as_points(covariates)
         n = covariates.shape[0]
         times = as_record_values(times, n, "times")
         censored = as_record_values(censored, n, "censoring flags", dtype=bool)
         if times.min() <= 0.0:
-            raise NonPositiveTimeError("times must lie in (0, 1]")
-        if times.max() > 1.0:
-            raise DataFormatError("times must be normalised to (0, 1]")
-        if not (np.isfinite(time_scale) and time_scale > 0):
-            raise DataFormatError("time_scale must be positive")
+            raise NonPositiveTimeError("times must be positive")
         for arr in (covariates, times, censored):
             arr.flags.writeable = False
         self.covariates = covariates
         self.times = times
         self.censored = censored
-        self.time_scale = float(time_scale)
-        self.event_order = np.argsort(times, kind="stable")
-        self.event_order.flags.writeable = False
         self._risk_index: RiskSetIndex | None = None
-
-    @classmethod
-    def from_raw_times(cls, covariates, raw_times, censored) -> "SurvivalDataset":
-        raw = np.asarray(raw_times, dtype=float)
-        if not np.all(np.isfinite(raw) & (raw > 0.0)):
-            raise NonPositiveTimeError("times must be finite and positive")
-        scale = float(raw.max()) if raw.size else 1.0  # no records: the points gate refuses
-        return cls(covariates, raw / scale, censored, time_scale=scale)
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -163,7 +150,7 @@ class SurvivalDataset:
 
     def risk_index(self) -> RiskSetIndex:
         if self._risk_index is None:
-            order = self.event_order
+            order = np.argsort(self.times, kind="stable")
             ts = self.times[order]
             start = np.searchsorted(ts, ts, side="left")
             end = np.searchsorted(ts, ts, side="right") - 1
@@ -186,7 +173,6 @@ class SurvivalDataset:
             self.covariates[indices],
             self.times[indices],
             self.censored[indices],
-            time_scale=self.time_scale,
         )
 
 
@@ -231,25 +217,23 @@ def read_rows(path, select):
                    for p, c in zip(positions, columns)]
 
 
-def load_csv(path, time_column: str = "time", event_column: str = "event",
-             covariate_columns: list[str] | None = None) -> SurvivalDataset:
-    """Load a survival dataset from CSV.
+def load_csv(path) -> SurvivalDataset:
+    """Load a survival dataset from CSV, its times as read.
 
-    The header must contain the time and event columns; covariate columns
-    default to every other column, in header order.  Event 1 means the event
-    was observed, 0 means censored.  Times are divided by the file maximum.
+    The header must contain ``time`` and ``event`` columns; every other
+    column is a covariate, in header order.  Event 1 means the event was
+    observed, 0 means censored.
     """
     def select(header):
         if header is None:
             raise DataFormatError(f"{path}: missing header row")
-        covs = covariate_columns if covariate_columns is not None else [
-            c for c in header if c not in (time_column, event_column)]
-        for col in (time_column, event_column, *covs):
+        for col in ("time", "event"):
             if col not in header:
                 raise MissingColumnError(f"{path}: missing column {col!r}")
+        covs = [c for c in header if c not in ("time", "event")]
         if not covs:
             raise MissingColumnError(f"{path}: no covariate columns")
-        return [*covs, time_column, event_column]
+        return [*covs, "time", "event"]
 
     rows = []
     for i, row in enumerate(read_rows(path, select)):  # covariates, time, event
@@ -261,7 +245,7 @@ def load_csv(path, time_column: str = "time", event_column: str = "event",
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     rows = np.asarray(rows)
-    return SurvivalDataset.from_raw_times(rows[:, :-2], rows[:, -2], rows[:, -1] == 0.0)
+    return SurvivalDataset(rows[:, :-2], rows[:, -2], rows[:, -1] == 0.0)
 
 
 @contextlib.contextmanager
@@ -298,11 +282,11 @@ def write_table(path, header, rows) -> None:
 
 
 def write_csv(dataset: SurvivalDataset, path) -> None:
-    """Write a dataset with its times de-normalised to file units."""
+    """Write a dataset as ``load_csv`` reads it: covariates x1..xd, then time and event."""
     d = dataset.dimension
     write_table(path, [f"x{j + 1}" for j in range(d)] + ["time", "event"], (
         [*x, t, int(e)] for x, t, e in zip(dataset.covariates.tolist(),
-                                           (dataset.times * dataset.time_scale).tolist(),
+                                           dataset.times.tolist(),
                                            dataset.events.tolist())))
 
 
@@ -314,10 +298,7 @@ def write_json(path, obj) -> None:
 
 
 def split_train_validation(data: SurvivalDataset, seed: int) -> tuple[SurvivalDataset, SurvivalDataset]:
-    """Deterministic shuffle then equal halves; training gets the extra record.
-
-    Both halves keep the parent's time scale (no renormalisation).
-    """
+    """Deterministic shuffle then equal halves; training gets the extra record."""
     n = len(data)
     if n < 2:
         raise DataFormatError("need at least 2 records to split")

@@ -7,8 +7,9 @@ representer route, over a basis subset of training points, which suits any
 kernel; a polynomial kernel's basis already shrinks to its feature rank
 there.  The solver sees only the pair, so any other route, such as the
 polynomial feature map the tests compare against, runs through the same
-solve.  An estimator predicts through ``predict_many`` alone, at points as
-``data.as_points`` takes them.
+solve.  Its convergence is judged by one theta-space gradient check, which
+BFGS also asks at the rounding floor.  An estimator predicts through
+``predict_many`` alone, at points as ``data.as_points`` takes them.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     the squared norm.  BFGS asks the same check as its stop predicate at the
     rounding floor, where its inner tolerance may be out of reach: after an
     accepted step with no representable decrease, the level stops as
-    converged if the check passes there.  The check remembers the last point
-    it read, so the final check of a level the rule stopped reuses it and
-    the two cannot disagree.  An empty basis (m = 0) takes the same path:
-    every maximum over its empty gradients is 0, so BFGS starts converged.
+    converged if the check passes there.  The check is a plain function of
+    the point, so the final check of a level the rule stopped reads that
+    point again and passes as the rule's did.  An empty basis (m = 0) takes
+    the same path: every maximum over its empty gradients is 0, so BFGS
+    starts converged.
     """
     if not 0 < gamma <= sys.float_info.max:  # NaN, inf and ints beyond a double fail
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
@@ -152,16 +154,13 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
     transform_norm = _transform_norm(problem.from_beta, level.scale)
     inner = replace(opts, gradient_tolerance=max(
         opts.gradient_tolerance / max(transform_norm, 1.0), 1e-13))
-    checked = None  # (v's bytes, theta, its point, its theta-space gradient norm)
 
     def theta_check(v):
-        nonlocal checked
-        if checked is None or checked[0] != v.tobytes():
-            theta = problem.to_theta(v / level.scale)
-            point = PenalisedPoint(problem, problem.from_beta @ theta)
-            norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max(initial=0.0))
-            checked = (v.tobytes(), theta, point, norm)
-        return checked
+        """theta at v, its point and its theta-space gradient norm."""
+        theta = problem.to_theta(v / level.scale)
+        point = PenalisedPoint(problem, problem.from_beta @ theta)
+        norm = float(np.abs(penalized_gradient(theta, problem, gamma, point)).max(initial=0.0))
+        return theta, point, norm
 
     # at the rounding floor BFGS stops once the final check would pass there
     result = minimize_bfgs(
@@ -169,9 +168,9 @@ def _fit_penalised(problem: PenalisedProblem, gamma: float, warm,
         lambda v: preconditioned_gradient(v, level),
         (problem.from_beta @ init) * level.scale,
         inner,
-        stop=lambda v: theta_check(v)[3] <= opts.gradient_tolerance,
+        stop=lambda v: theta_check(v)[2] <= opts.gradient_tolerance,
     )
-    _, theta, final, grad_norm = theta_check(result.minimizer)
+    theta, final, grad_norm = theta_check(result.minimizer)
     converged = grad_norm <= opts.gradient_tolerance
     if not converged:
         fit_warning = (fit_warning + "; " if fit_warning else "") + (

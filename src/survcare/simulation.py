@@ -208,6 +208,6 @@ def simulate_dataset(config: DgpConfig, n: int, seed: int) -> tuple[SurvivalData
                 break
     times = np.minimum(t_surv, t_cens)
     censored = t_cens < t_surv
-    dataset = SurvivalDataset(covs, times, censored, time_scale=1.0)
+    dataset = SurvivalDataset(covs, times, censored)
     truth = DgpTruth(config=config, covariates=covs, survival_times=t_surv, censor_times=t_cens)
     return dataset, truth

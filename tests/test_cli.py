@@ -472,14 +472,20 @@ def test_invalid_json_config_exit_2(tmp_path, simulated, capsys, command):
 
 
 class TestPredictionTables:
+    LABELS = {"evaluate": "prediction table", "care": "external 'tab': table"}
+
     @pytest.mark.parametrize("body, message", [
-        ("row,prediction\n0,0.5\n1\n2,0.5\n", "blank cell in column 'prediction', row 1"),
-        ("prediction\n0.5\n0.5\nabc\n", "non-numeric value 'abc' in column 'prediction', row 2"),
-        ("prediction\n0.5\nnan\n0.5\n", "non-finite value 'nan' in column 'prediction', row 1"),
-        ("prediction\n-inf\n0.5\n", "non-finite value '-inf' in column 'prediction', row 0"),
-        ("prediction\n0.5\n1e999\n", "non-finite value '1e999' in column 'prediction', row 1"),
-        ("\ufeffprediction\n0.5\nnan\n", "non-finite value 'nan' in column 'prediction', row 1"),
-        ("row,value\n0,0.5\n", "prediction table needs a 'prediction' column"),
+        ("row,prediction\n0,0.5\n1\n2,0.5\n", "{table}: blank cell in column 'prediction', row 1"),
+        ("prediction\n0.5\n0.5\nabc\n",
+         "{table}: non-numeric value 'abc' in column 'prediction', row 2"),
+        ("prediction\n0.5\nnan\n0.5\n",
+         "{table}: non-finite value 'nan' in column 'prediction', row 1"),
+        ("prediction\n-inf\n0.5\n", "{table}: non-finite value '-inf' in column 'prediction', row 0"),
+        ("prediction\n0.5\n1e999\n",
+         "{table}: non-finite value '1e999' in column 'prediction', row 1"),
+        ("\ufeffprediction\n0.5\nnan\n",
+         "{table}: non-finite value 'nan' in column 'prediction', row 1"),
+        ("row,value\n0,0.5\n", "{label} {table} needs a 'prediction' column"),
     ], ids=["short_row", "non_numeric", "nan", "minus_inf", "overflowing", "byte_order_mark",
             "no_prediction_column"])
     @pytest.mark.parametrize("command", ["evaluate", "care"])
@@ -495,12 +501,10 @@ class TestPredictionTables:
                                               "valid_table": str(table)}])
             args = ["care", data, data, "--config", write_json(tmp_path / "care.json", cfg)]
         assert main([*args, "--out", str(tmp_path / "out")]) == 2
-        assert f"error: {table}: {message}\n" in capsys.readouterr().err
+        message = message.format(table=table, label=self.LABELS[command])
+        assert f"error: {message}\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, label", [
-        ("evaluate", "prediction table"),
-        ("care", "external 'tab': table"),
-    ])
+    @pytest.mark.parametrize("command, label", LABELS.items())
     def test_row_count_mismatch_exit_2_names_the_table(self, tmp_path, simulated, capsys,
                                                        command, label):
         table = tmp_path / "table.csv"
@@ -546,6 +550,26 @@ class TestEvaluate:
         with open(f"{out}_breslow.csv", newline="") as fh:
             times = [float(r["t"]) for r in csv.DictReader(fh)]
         assert times == [0.0, 100.0, 300.0, 400.0]
+
+    def test_breslow_times_are_the_files_event_times(self, tmp_path):
+        # dividing by the largest time, 365.25, and multiplying back moves 0.471 by an ulp
+        data = tmp_path / "days.csv"
+        data.write_text("x1,time,event\n0.1,7.223,1\n0.2,0.471,1\n0.3,3.39,1\n"
+                        "0.4,365.25,0\n0.5,3.39,0\n")
+        out = str(tmp_path / "eval")
+        assert main(["evaluate", str(data), "--out", out, "--quiet"]) == 0
+        with open(f"{out}_breslow.csv", newline="") as fh:
+            times = [r["t"] for r in csv.DictReader(fh)]
+        assert times == ["0.0", "0.471", "3.39", "7.223"]
+
+    def test_config_option_is_refused(self, tmp_path, simulated, capsys):
+        cfg = write_json(tmp_path / "x.json", {})
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", f"{simulated}_data.csv", "--config", cfg,
+                  "--out", str(tmp_path / "eval")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("eval_*"))
 
 
 class TestRepeatedColumn:

@@ -31,12 +31,11 @@ class TestLoadCsv:
         "x1,time,event\n0.1,2,1\n0.2,4,0\n0.3,8,1\n",
         "\ufefftime,event,x1\n2,1,0.1\n4,0,0.2\n8,1,0.3\n",
     ], ids=["plain", "byte_order_mark"])
-    def test_normalises_times_and_flags(self, tmp_path, text):
+    def test_keeps_times_and_flags(self, tmp_path, text):
         path = _write(tmp_path / "d.csv", text)
         data = load_csv(path)
-        np.testing.assert_allclose(data.times, [0.25, 0.5, 1.0])
+        np.testing.assert_array_equal(data.times, [2.0, 4.0, 8.0])
         np.testing.assert_array_equal(data.censored, [False, True, False])
-        assert data.time_scale == 8.0
         assert data.dimension == 1
 
     def test_zero_time_rejected(self, tmp_path):
@@ -78,10 +77,11 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == f"{path}: non-finite value {cell!r} in column {column!r}, row 1"
 
-    def test_explicit_covariate_columns(self, tmp_path):
-        path = _write(tmp_path / "d.csv", "a,b,time,event\n1,2,1,1\n3,4,2,0\n")
-        data = load_csv(path, covariate_columns=["b"])
-        np.testing.assert_allclose(data.covariates, [[2.0], [4.0]])
+    def test_every_other_column_is_a_covariate_in_header_order(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "b,time,a,event\n1,2,3,1\n4,5,6,0\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.covariates, [[1.0, 3.0], [4.0, 6.0]])
+        np.testing.assert_array_equal(data.times, [2.0, 5.0])
 
 
 class TestRoundTrip:
@@ -93,12 +93,16 @@ class TestRoundTrip:
         np.testing.assert_array_equal(again.censored, small_dataset.censored)
         np.testing.assert_allclose(again.covariates, small_dataset.covariates, rtol=1e-12)
 
-    def test_normalisation_idempotent(self, tmp_path):
-        path = _write(tmp_path / "d.csv",
-                      "x1,time,event\n0.1,0.25,1\n0.2,1.0,0\n")
-        data = load_csv(path)
-        assert data.time_scale == 1.0
-        np.testing.assert_array_equal(data.times, [0.25, 1.0])
+    def test_times_come_back_byte_equal(self, tmp_path):
+        # divided by 100.3 and multiplied back, 3.7 would read 3.6999999999999997
+        times = np.array([3.7, 0.471, 100.3, 7.223])
+        source = _write(tmp_path / "in.csv", "x1,time,event\n" + "".join(
+            f"0.{i},{t!r},1\n" for i, t in enumerate(times.tolist())))
+        data = load_csv(source)
+        path = str(tmp_path / "out.csv")
+        write_csv(data, path)
+        again = load_csv(path)
+        assert data.times.tobytes() == again.times.tobytes() == times.tobytes()
 
 
 class TestWriteTable:
@@ -189,23 +193,23 @@ class TestDatasetInvariants:
         with pytest.raises(DataFormatError):
             SurvivalDataset(np.zeros((0, 1)), np.zeros(0), np.zeros(0, dtype=bool))
 
-    def test_times_must_be_in_unit_interval(self):
-        with pytest.raises(DataFormatError):
-            SurvivalDataset([[0.1]], [1.5], [False])
-        with pytest.raises(NonPositiveTimeError):
-            SurvivalDataset([[0.1]], [0.0], [False])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 0.0])
-    def test_raw_times_must_be_finite_and_positive(self, bad):
-        with pytest.raises(NonPositiveTimeError, match="^times must be finite and positive$"):
-            SurvivalDataset.from_raw_times([[0.1], [0.2]], [2.0, bad], [False, False])
+    @pytest.mark.parametrize("bad, error, message", [
+        (np.nan, DataFormatError, "times must be finite"),
+        (np.inf, DataFormatError, "times must be finite"),
+        (-1.0, NonPositiveTimeError, "times must be positive"),
+        (0.0, NonPositiveTimeError, "times must be positive"),
+    ])
+    def test_raw_times_must_be_finite_and_positive(self, bad, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SurvivalDataset([[0.1], [0.2]], [2.0, bad], [False, False])
 
     def test_event_order_sorted_with_stable_ties(self):
         data = SurvivalDataset([[0.0], [1.0], [2.0], [3.0]],
-                               [0.5, 0.2, 0.5, 0.1],
+                               [5.0, 2.0, 5.0, 1.0],
                                [False, False, True, False])
-        np.testing.assert_array_equal(data.event_order, [3, 1, 0, 2])
-        assert np.all(np.diff(data.times[data.event_order]) >= 0)
+        order = data.risk_index().order
+        np.testing.assert_array_equal(order, [3, 1, 0, 2])
+        assert np.all(np.diff(data.times[order]) >= 0)
 
     @pytest.mark.parametrize("censored", [
         [False, True, False, False, True, False],
@@ -227,10 +231,8 @@ class TestSplit:
     def test_partition_covers_all(self, small_dataset):
         train, valid = split_train_validation(small_dataset, 3)
         assert len(train) + len(valid) == len(small_dataset)
-        combined = np.sort(np.concatenate([train.times * train.time_scale,
-                                           valid.times * valid.time_scale]))
-        np.testing.assert_allclose(
-            combined, np.sort(small_dataset.times * small_dataset.time_scale))
+        combined = np.sort(np.concatenate([train.times, valid.times]))
+        np.testing.assert_array_equal(combined, np.sort(small_dataset.times))
 
     def test_deterministic(self, small_dataset):
         a1, b1 = split_train_validation(small_dataset, 5)
@@ -244,12 +246,6 @@ class TestSplit:
                                np.zeros(5, dtype=bool))
         train, valid = split_train_validation(data, 0)
         assert (len(train), len(valid)) == (3, 2)
-
-    def test_keeps_time_scale(self, tmp_path):
-        path = _write(tmp_path / "d.csv", "x1,time,event\n0.1,2,1\n0.2,4,0\n0.3,8,1\n")
-        data = load_csv(path)
-        train, valid = split_train_validation(data, 1)
-        assert train.time_scale == valid.time_scale == 8.0
 
     def test_too_small(self):
         data = SurvivalDataset([[0.1]], [0.5], [False])
