@@ -259,6 +259,9 @@ def _externals_from_config(specs: list[dict], train: SurvivalDataset,
                     f"choose from {sorted(BUILTIN_EXTERNALS)}"
                 )
             dgp = DgpConfig(BUILTIN_EXTERNALS[name])
+            if dgp.dimension != train.dimension:
+                raise ConfigError(f"builtin external {name!r} takes dimension {dgp.dimension}, "
+                                  f"but the data have dimension {train.dimension}")
             out.append(ExternalSpec(
                 name=name, fn=lambda xs, dgp=dgp: external_predictor(dgp, xs)))
         else:

@@ -7,21 +7,22 @@ fit at the selected level, with no aggregation weights.
 
 The regularisation path is fitted in decreasing order, warm-starting each fit
 at the previous solution; only the optimisation is repeated per level since
-the representer context is shared.  The validation predictions of every level
-come from one cross matrix between the validation points and the basis,
-computed once per path.  ``_centred_externals`` evaluates each external
-predictor once per sample, checks it against ``EXTERNAL_SUP_BOUND`` on both
-(a warning, not an error) and centres it once on the training sample; the
+the representer context is shared.  Both selections read one array, the
+validation predictions of every level: an (n_valid x levels) matrix, its
+rows in the validation set's risk order, made from one cross matrix between
+the validation points and the basis.  One call of the likelihood core scores
+all its columns.  ``_centred_externals`` evaluates each external predictor
+once per sample, checks it against ``EXTERNAL_SUP_BOUND`` on both (a
+warning, not an error) and centres it once on the training sample; the
 ``CenteredExternal`` it returns keeps its centred values on both samples,
 which the theta scan and the samples' predictions reuse.  The scan tries a
-simplex lattice of convex weights against those values and the cached
-predictions, at O(|Theta| * n) flops per level, spent in
-ceil(|Theta| / _ROW_BLOCK) calls of the likelihood core: the centred
-externals are put in the validation set's sorted order once per path and
-each level's predictions once per level, so every block of combinations is
-built directly in the core's sorted (n, block) layout and shares one
-exponential, suffix-sum and log pass, where a per-vector loop would repeat
-that work, and the call overhead, for every weight vector.  The grid is one
+simplex lattice of convex weights at each converged level, at
+O(|Theta| * n) flops per level, spent in ceil(|Theta| / _ROW_BLOCK) calls of
+the likelihood core: the centred externals are put in the risk order once
+per path, so every block of combinations is built from a column of the
+matrix in the core's sorted (n, block) layout and shares one exponential,
+suffix-sum and log pass, where a per-vector loop would repeat that work,
+and the call overhead, for every weight vector.  The grid is one
 read-only (|Theta| x M) array, and the report keeps the scan as one
 (levels x |Theta|) loss array next to it, not as one object per (level,
 point).  Apart from the scan's blocks, ``CareEstimator.combine`` is the one
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SurvivalDataset, as_points, as_record_values, write_table
+from .data import DataFormatError, SurvivalDataset, as_points, as_record_values, write_table
 from .estimators import KernelEstimator, fit_kernel_estimator
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
@@ -266,36 +267,22 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
                     grid: GammaGrid, options: OptimOptions | None):
     """Fit every grid value in decreasing order with warm starts.
 
-    Returns (fits, report_entries, valid_predictions) keyed/ordered by
-    gamma.  Every fit shares the basis and kbar of one context, so the
-    centred cross matrix between the validation points and the basis is
-    computed once and each level's validation predictions are one product
-    with its beta.
+    Returns the fits by gamma and the validation predictions: an (n_valid x
+    levels) array, one column per level in ascending gamma, its rows in the
+    validation set's risk order.  Every fit shares the basis and kbar of one
+    context, so one centred cross matrix serves the path, and each column is
+    one product with a level's beta.
     """
     if train.dimension != valid.dimension:
         raise ValueError("training and validation dimensions differ")
     ctx = RepresenterContext.build(train, kernel)
-    fits: dict[float, KernelEstimator] = {}
-    entries: dict[float, GammaEntry] = {}
-    valid_preds: dict[float, np.ndarray] = {}
-    valid_sections = None
-    warm = None
+    fits, warm = {}, None
     for gamma in reversed(grid.values):
-        est = fit_kernel_estimator(train, kernel, gamma, options, warm=warm, ctx=ctx)
-        warm = est.beta
-        if valid_sections is None:
-            valid_sections = est._centred_sections(valid.covariates)
-        preds = valid_sections @ est.beta
-        fits[gamma] = est
-        valid_preds[gamma] = preds
-        entries[gamma] = GammaEntry(
-            gamma=gamma,
-            train_loss=est.train_loss,
-            valid_loss=validation_loss(preds, valid),
-            converged=est.converged,
-        )
-    ordered = [entries[g] for g in grid.values]
-    return fits, ordered, valid_preds
+        fits[gamma] = fit_kernel_estimator(train, kernel, gamma, options, warm=warm, ctx=ctx)
+        warm = fits[gamma].beta
+    sections = fits[gamma]._centred_sections(valid.covariates)
+    preds = np.stack([sections @ fits[g].beta for g in grid.values], axis=1)
+    return fits, preds[valid.risk_index().order]
 
 
 @dataclass
@@ -397,10 +384,10 @@ def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfi
     """Fit the aggregated estimator with cross-validated (gamma, theta).
 
     Externals are centred on the training sample.  For each gamma the kernel
-    estimator is fitted once; the theta scan then combines cached validation
-    prediction vectors.  With no externals (the default) this is plain gamma
-    cross-validation: the estimator is the kernel fit at ``gamma_hat``, the
-    selected theta is empty and ``gamma_check`` equals ``gamma_hat``.
+    estimator is fitted once; the theta scan then combines its validation
+    predictions with the externals.  With no externals (the default) this is
+    plain gamma cross-validation: the estimator is the kernel fit at
+    ``gamma_hat``, the selected theta is empty and ``gamma_check`` is it.
 
     Returns (care_estimator, report).
     """
@@ -413,46 +400,51 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
                   thetas: ThetaGrid | None = None, options: OptimOptions | None = None):
     """Like fit_care, but also returns the per-gamma fitted estimator map.
 
-    Non-converged fits are recorded but excluded from both selections; if all
-    fits fail, AllFitsFailed is raised.
+    The theta grid is checked before any fit.  Non-converged fits are
+    recorded but excluded from both selections; if all fits fail,
+    AllFitsFailed is raised.
     """
-    fits, entries, valid_preds = _fit_gamma_path(train, valid, kernel, gammas, options)
-    gamma_hat, best = None, math.inf
-    for e in entries:  # ascending gamma; strict < keeps the smallest minimiser
-        if e.converged and e.valid_loss < best:
-            gamma_hat, best = e.gamma, e.valid_loss
-    if gamma_hat is None:
-        raise AllFitsFailed("no fit on the gamma grid converged")
-    report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat,
-                      gamma_check=gamma_hat, theta_check=())
-    centred: list[CenteredExternal] = []
-
     if externals:
         if thetas is None:
             raise ValueError("a theta grid is required when externals are given")
         if thetas.num_externals != len(externals):
             raise ValueError("theta grid width must match the number of externals")
+    fits, preds = _fit_gamma_path(train, valid, kernel, gammas, options)
+    if not np.isfinite(preds).all():
+        raise DataFormatError("relative-risk values must be finite")
+    idx = valid.risk_index()
+    valid_losses = _sorted_neg_log_partial_likelihood(preds, idx).tolist()
+    entries = [GammaEntry(g, fits[g].train_loss, loss, fits[g].converged)
+               for g, loss in zip(gammas.values, valid_losses)]
+    levels = [i for i, e in enumerate(entries) if e.converged]  # ascending gamma
+    if not levels:
+        raise AllFitsFailed("no fit on the gamma grid converged")
+    # min keeps the first minimiser, so ties go to the smallest gamma
+    gamma_hat = entries[min(levels, key=valid_losses.__getitem__)].gamma
+    report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat,
+                      gamma_check=gamma_hat, theta_check=())
+    centred: list[CenteredExternal] = []
+
+    if externals:
         centred = _centred_externals(externals, train, valid)
-        idx = valid.risk_index()
         # n x M, in the core's sorted order
         externals_sorted = np.stack([ext.valid_values for ext in centred]).T[idx.order]
         theta_mat = thetas.points                      # P x M
         kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
-        levels = [e.gamma for e in entries if e.converged]  # ascending gamma
         care_losses = np.empty((len(levels), len(thetas)))
-        for gamma, losses in zip(levels, care_losses):
-            preds_sorted = valid_preds[gamma][idx.order]
+        for level, losses in zip(levels, care_losses):
             for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
                 cols = slice(start, start + _ROW_BLOCK)
-                combos = preds_sorted[:, None] * kernel_weight[cols] + \
+                combos = preds[:, level, None] * kernel_weight[cols] + \
                     externals_sorted @ theta_mat[cols].T
                 losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
         # levels ascend and the points are in lexicographic order, so the first
         # minimiser in C order has the smallest gamma, then the smallest theta
         level, p = divmod(int(np.argmin(care_losses)), len(thetas))
-        report.care_gammas, report.care_thetas, report.care_losses = \
-            tuple(levels), theta_mat, care_losses
-        report.gamma_check, report.theta_check = levels[level], tuple(theta_mat[p].tolist())
+        report.care_gammas = tuple(entries[i].gamma for i in levels)
+        report.care_thetas, report.care_losses = theta_mat, care_losses
+        report.gamma_check, report.theta_check = \
+            report.care_gammas[level], tuple(theta_mat[p].tolist())
 
     care = CareEstimator(
         kernel_estimator=fits[report.gamma_check],

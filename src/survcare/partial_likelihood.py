@@ -20,10 +20,10 @@ order of the dataset's risk index, one vector or one per column of an (n, P)
 matrix.  One pass of it (the shift, the exponentials, the risk-set suffix sums
 and their logs) is a ``LikelihoodPass``, from which the loss and the gradient
 weights are both read: ``neg_log_partial_likelihood`` and
-``likelihood_gradient_weights`` each run one pass at one vector.  The theta
-scan of ``model_selection``, which scores many combinations of the same
-vectors, gathers those vectors once and passes the core blocks of
-combinations instead.
+``likelihood_gradient_weights`` each run one pass at one vector.
+``model_selection`` gathers a path's validation predictions once, scores
+every level in one call and passes the theta scan's blocks of combinations
+of the same columns.
 
 Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
 columns are basis functions evaluated at the training points, and an

@@ -321,6 +321,20 @@ class TestCare:
         assert main(["care", f"{simulated}_data.csv", f"{simulated}_data.csv",
                      "--config", path, "--out", str(tmp_path / "z")]) == 2
 
+    def test_builtin_of_another_dimension_exit_2_before_any_fit(self, tmp_path, simulated,
+                                                                 capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the path was fitted")
+
+        monkeypatch.setattr(survcare.cli, "fit_care_path", no_fit)
+        cfg = dict(CV_CONFIG)
+        cfg["externals"] = [{"builtin": "multivariate_linear"}]
+        path = write_json(tmp_path / "care.json", cfg)
+        assert main(["care", f"{simulated}_data.csv", f"{simulated}_data.csv",
+                     "--config", path, "--out", str(tmp_path / "z")]) == 2
+        assert capsys.readouterr().err == ("error: builtin external 'multivariate_linear' "
+                                           "takes dimension 10, but the data have dimension 1\n")
+
 
 MALFORMED_KERNELS = {
     "polynomial_without_degree": {"variant": "polynomial"},

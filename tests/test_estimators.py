@@ -67,6 +67,12 @@ class TestFitKernelEstimator:
         est = fit_kernel_estimator(small_dataset, Sobolev1Kernel(shift=1.0), 0.1, ctx=ctx)
         assert est.converged and abs(est.predict_many(small_dataset.covariates).mean()) <= 1e-9
 
+    def test_warm_start_of_the_wrong_length_is_refused(self, small_dataset, sob1):
+        ctx = RepresenterContext.build(small_dataset, sob1)
+        m = ctx.basis_size
+        with pytest.raises(ValueError, match=f"^warm start must have length {m}$"):
+            fit_kernel_estimator(small_dataset, sob1, 0.1, warm=np.zeros(m + 1), ctx=ctx)
+
     def test_not_in_space_kernel_rejected(self, small_dataset):
         with pytest.raises(NotInSpaceError):
             fit_kernel_estimator(small_dataset, Sobolev1Kernel(shift=0.0), 0.1)

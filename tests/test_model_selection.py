@@ -9,10 +9,12 @@ import pytest
 
 from survcare import (
     AllFitsFailed,
+    DataFormatError,
     DgpConfig,
     GammaGrid,
     GaussianKernel,
     OptimOptions,
+    PolynomialKernel,
     Sobolev1Kernel,
     SurvivalDataset,
     ThetaGrid,
@@ -189,6 +191,16 @@ class TestCrossValidateGamma:
             fit_care_path(train, valid, sob1, GammaGrid((0.1, 1.0)), options=opts)
 
 
+# (fits made before the refusal, its message) of each malformed call of fit_care_path
+REFUSALS = {
+    "no_theta_grid": (0, "a theta grid is required when externals are given"),
+    "theta_grid_too_wide": (0, "theta grid width must match the number of externals"),
+    "dimensions_differ": (0, "training and validation dimensions differ"),
+    "external_without_values": (len(SMALL_GRID),
+                                "external 'empty' needs a callable or value tables"),
+}
+
+
 class TestFitCare:
     def test_no_externals_degrades_to_cv(self, cv_setup, sob1):
         train, valid, _ = cv_setup
@@ -268,6 +280,59 @@ class TestFitCare:
             warnings.simplefilter("error")
             fit_care(train, valid, sob1, GammaGrid((1.0,)),
                      [ExternalSpec(name="big", **tables)], theta_grid(1, 2))
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_malformed_arguments_are_refused(self, cv_setup, sob1, monkeypatch, case):
+        fits, message = REFUSALS[case]
+        train, valid, truth = cv_setup
+        calls = []
+        original = model_selection.fit_kernel_estimator
+        monkeypatch.setattr(model_selection, "fit_kernel_estimator",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        externals = [ExternalSpec(name="ext", fn=truth.external)]
+        thetas = theta_grid(1, 5)
+        if case == "no_theta_grid":
+            thetas = None
+        elif case == "theta_grid_too_wide":
+            thetas = theta_grid(2, 5)
+        elif case == "dimensions_differ":
+            valid = SurvivalDataset(np.zeros((len(valid), 2)), valid.times, valid.events)
+        else:
+            externals = [ExternalSpec(name="empty", train_values=np.zeros(len(train)))]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_care_path(train, valid, sob1, SMALL_GRID, externals, thetas)
+        assert len(calls) == fits  # the argument checks come before any fit
+
+    def test_non_finite_validation_predictions_are_refused(self):
+        # a degree-60 polynomial overflows at the validation point 1e6
+        rng = np.random.default_rng(4)
+        train = SurvivalDataset(rng.uniform(0.0, 1.0, (30, 1)), rng.uniform(0.1, 1.0, 30),
+                                rng.uniform(size=30) < 0.7)
+        valid = SurvivalDataset([[0.1], [0.5], [1e6], [0.7]], [1.0, 2.0, 3.0, 4.0],
+                                [True, True, True, False])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataFormatError, match="^relative-risk values must be finite$"):
+            fit_care(train, valid, PolynomialKernel(degree=60, shift=1.0),
+                     GammaGrid.geometric(0.01, 1.0, 3))
+
+
+class TestPathLosses:
+    @pytest.mark.parametrize("with_externals", [False, True], ids=["kernel_only", "externals"])
+    def test_every_level_scores_as_its_validation_loss(self, cv_setup, sob1, with_externals):
+        train, valid, truth = cv_setup
+        externals = [ExternalSpec(name="ext", fn=truth.external)] if with_externals else []
+        thetas = theta_grid(1, 10) if with_externals else None
+        # five iterations leave the lower levels unconverged
+        _, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, externals, thetas,
+                                        OptimOptions(max_iterations=5))
+        converged = [e.converged for e in report.gamma_entries]
+        assert any(converged) and not all(converged)
+        assert [e.gamma for e in report.gamma_entries] == list(SMALL_GRID.values)
+        for e in report.gamma_entries:
+            assert e.valid_loss == validation_loss(fits[e.gamma].predict_many(valid.covariates),
+                                                   valid)
+            assert e.train_loss == fits[e.gamma].train_loss
+            assert e.converged == fits[e.gamma].converged
 
 
 class TestThetaScan:
@@ -349,23 +414,24 @@ class TestPathPredictions:
         original = estimators.cross_matrix
         monkeypatch.setattr(estimators, "cross_matrix",
                             lambda *args: calls.append(1) or original(*args))
-        fits, _, preds = _fit_gamma_path(train, valid, kernel, SMALL_GRID, None)
+        fits, preds = _fit_gamma_path(train, valid, kernel, SMALL_GRID, None)
         assert len(calls) == 1  # one validation cross matrix for the whole path
-        for gamma in SMALL_GRID.values:
-            direct = fits[gamma].predict_many(valid.covariates)
-            assert preds[gamma].tobytes() == direct.tobytes()
+        order = valid.risk_index().order
+        for level, gamma in enumerate(SMALL_GRID.values):
+            direct = fits[gamma].predict_many(valid.covariates)[order]
+            assert preds[:, level].tobytes() == direct.tobytes()
 
     def test_empty_basis_predicts_zeros(self):
         # one training point at the origin: its Sobolev section is the
         # constant times the shift, so the basis is empty
         train = SurvivalDataset([[0.0]], [0.5], [False])
         valid = SurvivalDataset([[0.2], [0.5], [0.9]], [0.3, 0.6, 0.9], [False, True, False])
-        fits, _, preds = _fit_gamma_path(train, valid, Sobolev1Kernel(shift=2.0),
-                                         SMALL_GRID, None)
-        for gamma in SMALL_GRID.values:
+        fits, preds = _fit_gamma_path(train, valid, Sobolev1Kernel(shift=2.0), SMALL_GRID, None)
+        order = valid.risk_index().order
+        for level, gamma in enumerate(SMALL_GRID.values):
             assert fits[gamma].beta.size == 0
-            direct = fits[gamma].predict_many(valid.covariates)
-            assert preds[gamma].tobytes() == direct.tobytes() == np.zeros(3).tobytes()
+            direct = fits[gamma].predict_many(valid.covariates)[order]
+            assert preds[:, level].tobytes() == direct.tobytes() == np.zeros(3).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -46,6 +46,21 @@ def test_rosenbrock():
     assert result.iterations < 500
 
 
+def test_failed_line_search_returns_the_start():
+    # the objective is finite only at the start, so no halving of the first
+    # step finds an Armijo decrease
+    x0 = np.zeros(2)
+
+    def f(x):
+        return 1.5 if not x.any() else np.inf
+
+    result = minimize_bfgs(f, lambda x: np.ones(2), x0)
+    assert not result.converged
+    assert result.iterations == 0
+    assert np.array_equal(result.minimizer, x0)
+    assert result.trace == [1.5]
+
+
 def test_trace_monotone_nonincreasing():
     result = minimize_bfgs(rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]))
     trace = np.asarray(result.trace)
