@@ -177,7 +177,10 @@ def _check_unit_interval(values: np.ndarray) -> None:
 
 
 def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
-    """Matrix of kernel values k(xs[i], ys[j]), vectorised over both point sets."""
+    """Matrix of kernel values k(xs[i], ys[j]), vectorised over both point sets.
+
+    A polynomial kernel value beyond the double range raises ValueError.
+    """
     if isinstance(config, GaussianKernel):
         xs = as_points(xs, config.dimension)
         ys = as_points(ys, config.dimension)
@@ -204,7 +207,11 @@ def cross_matrix(config: KernelConfig, xs, ys) -> np.ndarray:
         xs, ys = as_points(xs), as_points(ys)
         if xs.shape[1] != ys.shape[1]:
             raise ValueError("dimension mismatch between point sets")
-        return (xs @ ys.T + config.shift) ** config.degree
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (xs @ ys.T + config.shift) ** config.degree
+        if not np.isfinite(out).all():
+            raise ValueError("polynomial kernel values overflow")
+        return out
     if isinstance(config, Sobolev1Kernel):
         xs, ys = as_points(xs, 1), as_points(ys, 1)
         _check_unit_interval(xs)

@@ -273,8 +273,6 @@ def _fit_gamma_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kern
     context, so one centred cross matrix serves the path, and each column is
     one product with a level's beta.
     """
-    if train.dimension != valid.dimension:
-        raise ValueError("training and validation dimensions differ")
     ctx = RepresenterContext.build(train, kernel)
     fits, warm = {}, None
     for gamma in reversed(grid.values):
@@ -400,7 +398,8 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
                   thetas: ThetaGrid | None = None, options: OptimOptions | None = None):
     """Like fit_care, but also returns the per-gamma fitted estimator map.
 
-    The theta grid is checked before any fit.  Non-converged fits are
+    The theta grid and the dimensions are checked, and the externals
+    evaluated, checked and centred, before any fit.  Non-converged fits are
     recorded but excluded from both selections; if all fits fail,
     AllFitsFailed is raised.
     """
@@ -409,6 +408,9 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
             raise ValueError("a theta grid is required when externals are given")
         if thetas.num_externals != len(externals):
             raise ValueError("theta grid width must match the number of externals")
+    if train.dimension != valid.dimension:
+        raise ValueError("training and validation dimensions differ")
+    centred = _centred_externals(externals, train, valid)
     fits, preds = _fit_gamma_path(train, valid, kernel, gammas, options)
     if not np.isfinite(preds).all():
         raise DataFormatError("relative-risk values must be finite")
@@ -423,10 +425,7 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
     gamma_hat = entries[min(levels, key=valid_losses.__getitem__)].gamma
     report = CvReport(gamma_entries=entries, gamma_hat=gamma_hat,
                       gamma_check=gamma_hat, theta_check=())
-    centred: list[CenteredExternal] = []
-
     if externals:
-        centred = _centred_externals(externals, train, valid)
         # n x M, in the core's sorted order
         externals_sorted = np.stack([ext.valid_values for ext in centred]).T[idx.order]
         theta_mat = thetas.points                      # P x M

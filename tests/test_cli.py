@@ -252,7 +252,7 @@ class TestCare:
 
     @staticmethod
     def two_samples(tmp_path):
-        """Training and validation draws on which the builtin external gets theta 0.3."""
+        """Training and validation draws on which the builtin external gets theta 0.8."""
         paths = []
         for role, seed in (("train", 1), ("valid", 2)):
             cfg = write_json(tmp_path / f"{role}_sim.json",
@@ -271,7 +271,7 @@ class TestCare:
         out = str(tmp_path / name)
         assert main(["care", *data, "--config", path, "--out", out, "--quiet"]) == 0
         with open(f"{out}_selection.json", encoding="utf-8") as fh:
-            assert json.load(fh)["theta_check"] == [0.3]
+            assert json.load(fh)["theta_check"] == [0.8]
         return out
 
     def test_builtin_external_is_evaluated_once_per_sample(self, tmp_path, monkeypatch):
@@ -334,6 +334,22 @@ class TestCare:
                      "--config", path, "--out", str(tmp_path / "z")]) == 2
         assert capsys.readouterr().err == ("error: builtin external 'multivariate_linear' "
                                            "takes dimension 10, but the data have dimension 1\n")
+
+    def test_overflowing_polynomial_exit_2_with_one_error_and_no_warning(self, tmp_path,
+                                                                          capsys):
+        rng = np.random.default_rng(4)
+        train, valid = tmp_path / "train.csv", tmp_path / "valid.csv"
+        train.write_text("x1,time,event\n" + "".join(
+            f"{x!r},{t!r},{int(e)}\n" for x, t, e in zip(
+                rng.uniform(0.0, 1.0, 30).tolist(), rng.uniform(0.1, 1.0, 30).tolist(),
+                (rng.uniform(size=30) < 0.7).tolist())))
+        valid.write_text("x1,time,event\n0.1,1.0,1\n0.5,2.0,1\n1000000.0,3.0,1\n0.7,4.0,0\n")
+        path = write_json(tmp_path / "care.json", {
+            "kernel": {"variant": "polynomial", "degree": 60, "shift": 1.0},
+            "gamma_grid": SMALL_GRID})
+        assert main(["care", str(train), str(valid), "--config", path,
+                     "--out", str(tmp_path / "p"), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: polynomial kernel values overflow\n"
 
 
 MALFORMED_KERNELS = {

@@ -8,6 +8,7 @@ from conftest import all_censored_dataset
 from feature_map_oracle import feature_matrix, fit_feature_map_estimator
 from likelihood_oracle import fitted_values
 from newton_oracle import newton_reference
+from simulation_oracle import legacy_draw
 from survcare import (
     CenteredExternal,
     DgpConfig,
@@ -108,7 +109,7 @@ class TestFitKernelEstimator:
         if basis == "row_reduction":
             monkeypatch.setattr(partial_likelihood, "build_representer_basis",
                                 rref_basis_and_factor)
-        data, _ = simulate_dataset(DgpConfig("univariate"), n, seed)
+        data = legacy_draw(DgpConfig("univariate"), n, seed)
         kernel = GaussianKernel(shift=1.0, lengthscales=(lengthscale,))
         est = fit_kernel_estimator(data, kernel, gamma)
         assert np.all(np.isfinite(est.beta))
@@ -120,12 +121,22 @@ class TestFitKernelEstimator:
         # with a ridged Cholesky of khat, this draw's whitened penalty had a
         # negative eigenvalue: the objective was unbounded below, BFGS ran
         # 500 iterations to a gradient of 6e147 and the Hilbert norm was NaN
-        data, _ = simulate_dataset(DgpConfig("univariate"), 120, 2)
+        data = legacy_draw(DgpConfig("univariate"), 120, 2)
         kernel = GaussianKernel(shift=1.0, lengthscales=(0.03,))
         est = fit_kernel_estimator(data, kernel, 1e-5)
         assert est.converged
         assert est.gradient_norm <= 1e-8
         assert np.isfinite(est.hilbert_norm_squared)
+
+    def test_overflowing_polynomial_is_refused(self):
+        # one training point at 1e6 puts (x'y + 1)^60 beyond the double range;
+        # such a fit once returned the zero function as converged, with no warning
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(0.0, 1.0, (30, 1))
+        xs[7] = 1e6
+        data = SurvivalDataset(xs, rng.uniform(0.1, 1.0, 30), rng.uniform(size=30) < 0.7)
+        with pytest.raises(ValueError, match="^polynomial kernel values overflow$"):
+            fit_kernel_estimator(data, PolynomialKernel(degree=60, shift=1.0), 0.1)
 
     def test_huge_shift_keeps_the_constant(self):
         # the constant's bordered diagonal 1 / shift = 1e-8 is below the
@@ -175,7 +186,7 @@ class TestRoundingFloorStop:
 
     @pytest.fixture
     def floor_level(self, sob1):
-        data, _ = simulate_dataset(DgpConfig("univariate"), 40, 1)
+        data = legacy_draw(DgpConfig("univariate"), 40, 1)
         return data, RepresenterContext.build(data, sob1)
 
     def test_a_stop_that_never_holds_changes_nothing(self, monkeypatch, floor_level, sob1):
@@ -209,7 +220,7 @@ class TestRoundingFloorStop:
         # theta-space test holds from the 5th gradient on, while the inner
         # gradient stays above the inner tolerance; without the rule BFGS ran
         # all 500 iterations there, at about 33 objective calls each
-        data, _ = simulate_dataset(DgpConfig("univariate"), 1600, 1)
+        data = legacy_draw(DgpConfig("univariate"), 1600, 1)
         ctx = RepresenterContext.build(data, sob1)
         warm = None
         for gamma in GammaGrid.geometric(1e-5, 10.0, 50).values[:21:-1]:
@@ -240,7 +251,7 @@ class TestNewtonReference:
                 "2e-6 from the solution; a stop rule on fitted values would mend it"))),
     ], ids=["univariate-seed1", "univariate-seed2", "gaussian_d10"])
     def test_converged_levels_lie_near_the_reference(self, dgp, n, seed, kernel):
-        data, _ = simulate_dataset(DgpConfig(dgp), n, seed)
+        data = legacy_draw(DgpConfig(dgp), n, seed)
         ctx = RepresenterContext.build(data, kernel)
         warm, gaps = None, {}
         for gamma in reversed(self.GRID.values):  # as a path runs: warm starts, descending
