@@ -18,6 +18,7 @@ an array.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,11 +129,12 @@ def simulate_dataset(config: DgpConfig, n: int, seed: int) -> tuple[SurvivalData
     every unit double, row by row: record i reads row i, its d covariates,
     then V, then the censoring draw.  The rows are drawn ``_RECORD_BLOCK`` at
     a time, so the first k records of an n-record draw are the k-record draw.
+    ``seed`` may be any integer, numpy's included; a float raises TypeError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = config.dimension
-    rng = np.random.Generator(np.random.Philox(key=seed % 2**64))
+    rng = np.random.Generator(np.random.Philox(key=operator.index(seed) % 2**64))
     covs = np.empty((n, d))
     t_surv = np.empty(n)
     t_cens = np.empty(n)

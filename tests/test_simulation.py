@@ -191,6 +191,26 @@ class TestDrawContract:
             assert not np.array_equal(first["covariates"], second["covariates"])
             assert not np.array_equal(first["times"], second["times"])
 
+    @pytest.mark.parametrize("seed", [np.int32(5), np.int64(5), np.uint32(5), np.uint64(5),
+                                      np.uint64(2**64 - 1), np.int64(-7)])
+    def test_a_numpy_integer_seed_keys_like_the_equal_python_int(self, seed):
+        # seed % 2**64 once ran in int64 and overflowed for every numpy seed
+        config = DgpConfig("univariate")
+        got = simulated_arrays(config, 20, seed)
+        for name, expected in simulated_arrays(config, 20, int(seed)).items():
+            assert got[name].tobytes() == expected.tobytes(), name
+
+    def test_a_negative_seed_keys_modulo_2_64(self):
+        config = DgpConfig("univariate")
+        got = simulated_arrays(config, 20, -1)
+        for name, expected in row_by_row_arrays(config, 20, 2**64 - 1).items():
+            assert got[name].tobytes() == expected.tobytes(), name
+
+    def test_a_float_seed_is_refused(self):
+        # numpy's Philox would take 1.5 as a key without a word
+        with pytest.raises(TypeError):
+            simulate_dataset(DgpConfig("univariate"), 5, 1.5)
+
     @pytest.mark.parametrize("variant", ["univariate", "multivariate_d10"])
     def test_a_zero_survival_draw_is_an_infinite_time_censored_at_the_censoring_draw(
             self, variant):
