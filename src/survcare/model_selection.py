@@ -15,20 +15,36 @@ all its columns.  ``_centred_externals`` evaluates each external predictor
 once per sample, checks it against ``EXTERNAL_SUP_BOUND`` on both (a
 warning, not an error) and centres it once on the training sample; the
 ``CenteredExternal`` it returns keeps its centred values on both samples,
-which the theta scan and the samples' predictions reuse.  The scan tries a
-simplex lattice of convex weights at each converged level, at
-O(|Theta| * n) flops per level, spent in ceil(|Theta| / _ROW_BLOCK) calls of
-the likelihood core: the centred externals are put in the risk order once
-per path, so every block of combinations is built from a column of the
-matrix in the core's sorted (n, block) layout and shares one exponential,
-suffix-sum and log pass, where a per-vector loop would repeat that work,
-and the call overhead, for every weight vector.  The grid is one
-read-only (|Theta| x M) array, and the report keeps the scan as one
-(levels x |Theta|) loss array next to it, not as one object per (level,
-point).  Apart from the scan's blocks, ``CareEstimator.combine`` is the one
-place the combination is summed.  Every evaluator predicts through
-``predict_many`` alone, at points as ``data.as_points`` takes them, and each
-external's values on a sample pass ``data.as_record_values``.
+which the theta scan and the samples' predictions reuse.
+
+The scan looks for the minimiser of the validation loss over a finite grid
+of convex weights (a simplex lattice from ``theta_grid``) at each converged
+level.  The centred externals are put in the risk order once per path, so a
+batch of combinations is built from a column of the matrix in the core's
+sorted (n, batch) layout and shares one exponential, suffix-sum and log
+pass.  A grid of at most ``_ROW_BLOCK`` points is scored whole, in one such
+pass.  A larger one need not be: at a fixed level the combination is affine
+in theta and the Cox loss is convex in it, so the tangent plane at a scored
+point is a lower bound on the loss everywhere (Kelley's cutting planes over
+a finite set).  ``_scan_level`` scores a first pass of ``_FIRST_PASS``
+points spread over the grid's order, with the gradient weights of the same
+``LikelihoodPass``, raises every unscored point's bound to the planes, and
+drops a point whose bound exceeds the level's best loss by more than
+``_PRUNE_SLACK`` times (1 + |best|).  The lowest-bound survivors are scored
+next, in batches that double from ``_FIRST_BATCH`` up to ``_ROW_BLOCK``,
+until none survives.  A dropped point's loss lies strictly above the level's
+minimum and every point within the slack of it is scored, so the selection
+is the exhaustive scan's, ties included; each scored loss has the bits of
+that column scored alone.  A batch whose planes drop nothing (all-censored validation
+data tie every point) sends the survivors to full blocks without planes, so
+the worst case is the exhaustive scan and one small pass.  No temporary
+exceeds n x ``_ROW_BLOCK`` or |Theta| x M cells.  The grid is one read-only
+(|Theta| x M) array, and the report keeps the scan as one (levels x |Theta|)
+loss array next to it, +inf where a point was dropped.  Apart from the
+scan's batches, ``CareEstimator.combine`` is the one place the combination
+is summed.  Every evaluator predicts through ``predict_many`` alone, at
+points as ``data.as_points`` takes them, and each external's values on a
+sample pass ``data.as_record_values``.
 
 The selection is one argmin over that loss array.  Its first minimiser in C
 order breaks ties toward the smallest regularisation value and then the
@@ -52,17 +68,27 @@ from .estimators import KernelEstimator, fit_kernel_estimator
 from .kernels import KernelConfig
 from .optimizer import OptimOptions
 from .partial_likelihood import (
+    LikelihoodPass,
     RepresenterContext,
     _sorted_neg_log_partial_likelihood,
     neg_log_partial_likelihood,
 )
 
 THETA_GRID_LIMIT = 1_000_000
-# Combinations of the theta scan scored per pass of the likelihood core.  Not a
-# power of two: the core runs down columns of an (n, _ROW_BLOCK) block, and at
-# 128 (or 64, 192, 256) its rows sit a power-of-two number of bytes apart, a
-# stride at which the cumulative sum runs about 3x slower.
+# Most combinations of the theta scan scored per pass of the likelihood core: a
+# grid of at most this many points is scored whole, in one pass with no
+# gradient, and a larger scan's batches grow to it.  Not a power of two: the
+# core runs down columns of an (n, _ROW_BLOCK) block, and at 128 (or 64, 192,
+# 256) its rows sit a power-of-two number of bytes apart, a stride at which the
+# cumulative sum runs about 3x slower.
 _ROW_BLOCK = 120
+# Points in the first pass of a larger scan, spread over the grid's order, and
+# in the batch after it.
+_FIRST_PASS = 16
+_FIRST_BATCH = 4
+# A point is dropped when its lower bound exceeds the level's best loss by more
+# than this times (1 + |best|): far above the rounding of a loss or a plane.
+_PRUNE_SLACK = 1e-9
 # Bound on the sup-norm of external predictors; exceeding it only triggers a
 # warning since the theory assumes boundedness without a value.
 EXTERNAL_SUP_BOUND = 100.0
@@ -176,17 +202,19 @@ class CareEntry:
 
 
 class CareEntries(Sequence):
-    """Read-only view of a report's theta scan as ``CareEntry`` objects.
+    """Read-only view of a report's scored theta points as ``CareEntry`` objects.
 
     Entries run level by level (ascending gamma), and within a level in the
-    grid's order; each is built when it is read.
+    grid's order; a point the scan proved cannot win (+inf) has none.  Each
+    is built when it is read.
     """
 
     def __init__(self, report: "CvReport"):
         self._report = report
+        self._scored = np.flatnonzero(np.isfinite(report.care_losses))  # C-order positions
 
     def __len__(self) -> int:
-        return self._report.care_losses.size
+        return self._scored.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -195,7 +223,7 @@ class CareEntries(Sequence):
         if not -size <= i < size:
             raise IndexError("care entry index out of range")
         report = self._report
-        level, p = divmod(i % size, len(report.care_thetas))
+        level, p = divmod(int(self._scored[i]), len(report.care_thetas))
         return CareEntry(report.care_gammas[level], tuple(report.care_thetas[p].tolist()),
                          float(report.care_losses[level, p]))
 
@@ -204,7 +232,8 @@ class CareEntries(Sequence):
         thetas = list(map(tuple, report.care_thetas.tolist()))
         for gamma, losses in zip(report.care_gammas, report.care_losses.tolist()):
             for theta, loss in zip(thetas, losses):
-                yield CareEntry(gamma, theta, loss)
+                if math.isfinite(loss):
+                    yield CareEntry(gamma, theta, loss)
 
 
 @dataclass
@@ -214,9 +243,15 @@ class CvReport:
     The theta scan is stored as columns: ``care_losses[l, p]`` is the
     validation loss of the combination at ``care_gammas[l]``, the converged
     levels in ascending order, and ``care_thetas[p]``, a row of the theta
-    grid's read-only array.  Without externals all three are empty,
-    ``gamma_check`` is ``gamma_hat`` and ``theta_check`` is empty.
-    ``care_entries`` views the scan as one ``CareEntry`` per (level, point).
+    grid's read-only array.  A point the scan proved cannot be its level's
+    minimiser, because a tangent plane of the convex loss lies above the
+    level's best loss there, was never scored and holds +inf; with at most
+    ``_ROW_BLOCK`` points every one is scored.  So the argmin over the array
+    is the exhaustive scan's selection, ties included.  Without externals
+    all three are empty, ``gamma_check`` is ``gamma_hat`` and
+    ``theta_check`` is empty.  ``care_entries`` views the scored points as
+    one ``CareEntry`` per (level, point), and ``to_csv`` writes one row per
+    such entry.
     """
 
     gamma_entries: list[GammaEntry] = field(default_factory=list)
@@ -242,7 +277,7 @@ class CvReport:
                        str(int(by_gamma[g].converged))) for g in self.care_gammas]
             rows = ([gamma, *theta, train, repr(loss), converged]
                     for (gamma, train, converged), losses in zip(levels, self.care_losses.tolist())
-                    for theta, loss in zip(thetas, losses))
+                    for theta, loss in zip(thetas, losses) if math.isfinite(loss))
         else:
             rows = ([g.gamma, g.train_loss, g.valid_loss, int(g.converged)]
                     for g in self.gamma_entries)
@@ -376,6 +411,73 @@ def _centred_externals(specs: Sequence[ExternalSpec], train: SurvivalDataset,
     return centred
 
 
+def _scan_level(kernel_values: np.ndarray, externals_sorted: np.ndarray,
+                theta_mat: np.ndarray, idx) -> np.ndarray:
+    """The validation loss of each theta point at one level, +inf where it cannot win.
+
+    ``kernel_values`` and ``externals_sorted`` hold the level's validation
+    predictions and the centred externals in the risk index ``idx``'s sorted
+    order.  The module docstring describes the pruning.
+    """
+    size = len(theta_mat)
+    kernel_weight = 1.0 - theta_mat.sum(axis=1)
+
+    def combos(pick):
+        return kernel_values[:, None] * kernel_weight[pick] + externals_sorted @ theta_mat[pick].T
+
+    if size <= _ROW_BLOCK:
+        return _sorted_neg_log_partial_likelihood(combos(slice(None)), idx)
+    losses = np.full(size, np.inf)
+    bound = np.full(size, -np.inf)
+    directions = externals_sorted - kernel_values[:, None]  # n x M, the derivative of f in theta
+    budget = max(len(kernel_values) * _ROW_BLOCK, theta_mat.size)  # cells per temporary
+    batch = np.arange(0, size, -(-size // _FIRST_PASS))  # every ceil(P / _FIRST_PASS)-th
+    alive = np.ones(size, dtype=bool)
+    alive[batch] = False
+    alive = np.flatnonzero(alive)  # unscored points that may still win, in grid order
+    width, targets = _FIRST_BATCH, None  # the first pass's planes bound every point
+    while batch.size:
+        pick = _two_wide(batch)
+        scored = LikelihoodPass(combos(pick), idx)
+        losses[pick] = values = scored.loss()
+        slopes = directions.T @ scored.sorted_gradient_weights()  # M x b
+        intercepts = values - np.einsum("bm,mb->b", theta_mat[pick], slopes)
+        finite = np.isfinite(intercepts) & np.isfinite(slopes).all(axis=0)
+        _raise_bounds(bound, targets, theta_mat, slopes[:, finite], intercepts[finite], budget)
+        best = losses.min()
+        keep = bound[alive] <= best + _PRUNE_SLACK * (1.0 + abs(best))
+        if keep.all():  # the planes cut nothing: score the rest without them
+            break
+        alive = alive[keep]
+        lowest = np.argsort(bound[alive], kind="stable")[:width]
+        batch = alive[lowest]
+        alive = targets = np.delete(alive, lowest)
+        width = min(2 * width, _ROW_BLOCK)
+    for start in range(0, alive.size, _ROW_BLOCK):
+        pick = _two_wide(alive[start:start + _ROW_BLOCK])
+        losses[pick] = _sorted_neg_log_partial_likelihood(combos(pick), idx)
+    return losses
+
+
+def _two_wide(pick: np.ndarray) -> np.ndarray:
+    """``pick``, with a single point repeated: numpy multiplies one column by
+    gemv, whose sums may round unlike the gemm of a block of columns."""
+    return np.repeat(pick, 2) if pick.size == 1 else pick
+
+
+def _raise_bounds(bound, pts, theta_mat, slopes, intercepts, budget):
+    """Raise ``bound`` at the points ``pts`` (all when None) to the planes
+    intercepts + theta @ slopes, at most ``budget`` cells per temporary."""
+    if not intercepts.size:
+        return
+    rows = max(1, budget // intercepts.size)
+    for start in range(0, len(theta_mat) if pts is None else pts.size, rows):
+        chunk = slice(start, start + rows) if pts is None else pts[start:start + rows]
+        planes = slopes.T @ theta_mat[chunk].T  # one row per plane
+        planes += intercepts[:, None]
+        bound[chunk] = np.maximum(bound[chunk], planes.max(axis=0))
+
+
 def fit_care(train: SurvivalDataset, valid: SurvivalDataset, kernel: KernelConfig,
              gammas: GammaGrid, externals: Sequence[ExternalSpec] = (),
              thetas: ThetaGrid | None = None, options: OptimOptions | None = None):
@@ -429,14 +531,8 @@ def fit_care_path(train: SurvivalDataset, valid: SurvivalDataset, kernel: Kernel
         # n x M, in the core's sorted order
         externals_sorted = np.stack([ext.valid_values for ext in centred]).T[idx.order]
         theta_mat = thetas.points                      # P x M
-        kernel_weight = 1.0 - theta_mat.sum(axis=1)    # P
-        care_losses = np.empty((len(levels), len(thetas)))
-        for level, losses in zip(levels, care_losses):
-            for start in range(0, len(thetas), _ROW_BLOCK):  # bounded blocks of combinations
-                cols = slice(start, start + _ROW_BLOCK)
-                combos = preds[:, level, None] * kernel_weight[cols] + \
-                    externals_sorted @ theta_mat[cols].T
-                losses[cols] = _sorted_neg_log_partial_likelihood(combos, idx)
+        care_losses = np.stack([_scan_level(preds[:, level], externals_sorted, theta_mat, idx)
+                                for level in levels])
         # levels ascend and the points are in lexicographic order, so the first
         # minimiser in C order has the smallest gamma, then the smallest theta
         level, p = divmod(int(np.argmin(care_losses)), len(thetas))

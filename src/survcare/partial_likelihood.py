@@ -23,7 +23,9 @@ weights are both read: ``neg_log_partial_likelihood`` and
 ``likelihood_gradient_weights`` each run one pass at one vector.
 ``model_selection`` gathers a path's validation predictions once, scores
 every level in one call and passes the theta scan's blocks of combinations
-of the same columns.
+of the same columns.  Where the scan prunes a grid larger than one block,
+each block is a ``LikelihoodPass`` over (n, b) columns, whose gradient
+weights give each combination's tangent plane in theta.
 
 Every fit minimises l(D theta) + gamma ||R theta||^2 for a design D, whose
 columns are basis functions evaluated at the training points, and an
@@ -145,49 +147,59 @@ def _sorted_neg_log_partial_likelihood(fs: np.ndarray, idx: RiskSetIndex):
 
 
 class LikelihoodPass:
-    """One pass over the risk sets at one vector of f values.
+    """One pass over the risk sets at one vector of f values, or at each column of a matrix.
 
     The loss and the gradient weights both read it, so a caller that needs
     both at one point pays once for the exponentials, the suffix sums and the
-    logs.  ``fs`` holds the values in the risk index's sorted order, ``max``
-    their maximum, ``log_risk`` the log risk sum of each event (sorted
-    positions ascending) and ``shifted`` exp(fs - max).  Values are not
-    checked.
+    logs.  ``fs`` holds the values already in the risk index's sorted order
+    (``fvalues[idx.order]``), one vector of n values or an (n, P) matrix with
+    one vector per column; ``max`` is their (column) maximum, ``log_risk``
+    the log risk sum of each event (sorted positions ascending; one column
+    per column of ``fs``) and ``shifted`` exp(fs - max).  Each column's loss
+    has the bits of that column's alone, and so do its weights unless some
+    column's weights take the log-space path, which the whole block then
+    takes.  Values are not checked.
     """
 
-    def __init__(self, fvalues: np.ndarray, idx: RiskSetIndex):
+    def __init__(self, fs: np.ndarray, idx: RiskSetIndex):
         self.idx = idx
-        self.fs = fvalues[idx.order]
-        self.max, self.log_risk, self.shifted = _sorted_log_risk_sums(self.fs, idx)
+        self.fs = fs
+        self.max, self.log_risk, self.shifted = _sorted_log_risk_sums(fs, idx)
 
-    def loss(self) -> float:
-        return float(_sorted_loss(self.fs, self.log_risk, self.idx))
+    def loss(self):
+        """The loss: a float for one vector, an array of one per column for a matrix."""
+        loss = _sorted_loss(self.fs, self.log_risk, self.idx)
+        return float(loss) if self.fs.ndim == 1 else loss
 
-    def gradient_weights(self) -> np.ndarray:
-        """Weights u (original record order) such that grad l(M beta) = M' u."""
+    def sorted_gradient_weights(self) -> np.ndarray:
+        """Weights u, in sorted order and shaped like ``fs``, with grad l(M beta) = M' u."""
         idx, fs, log_risk = self.idx, self.fs, self.log_risk
         n = fs.shape[0]
-        ev = idx.event_sorted
+        ev = idx.event_sorted if fs.ndim == 1 else idx.event_sorted[:, None]
         # 1 / Stilde_i at event positions, zero elsewhere; Stilde is the shifted
         # suffix sum, so shifted * cumulative(1/Stilde) stays bounded by 1 per term.
-        inv_sums = np.zeros(n)
+        inv_sums = np.zeros(fs.shape)
         exponents = self.max - log_risk
         # a running sum of at most n reciprocals, each below exp(_LOG_HUGE - log n),
         # stays finite; only a larger (or NaN) exponent needs the guard and the check
         guarded = exponents.size and not exponents.max() < _LOG_HUGE - math.log(n)
         with np.errstate(over="ignore", invalid="ignore") if guarded else contextlib.nullcontext():
             inv_sums[idx.event_positions] = np.exp(exponents)
-            cum = inv_sums.cumsum()[idx.group_end]
+            cum = inv_sums.cumsum(axis=0)[idx.group_end]
             u_sorted = (self.shifted * cum - ev) / n
         if guarded and not np.isfinite(u_sorted).all():
             # f spreads by more than the exponent range, so some 1/Stilde
             # overflowed; each term exp(fs_p - log S_i) is at most 1 in log space
-            neg_log_sums = np.full(n, -np.inf)
+            neg_log_sums = np.full(fs.shape, -np.inf)
             neg_log_sums[idx.event_positions] = -log_risk
-            log_cum = np.logaddexp.accumulate(neg_log_sums)[idx.group_end]
+            log_cum = np.logaddexp.accumulate(neg_log_sums, axis=0)[idx.group_end]
             u_sorted = (np.exp(fs + log_cum) - ev) / n
-        u = np.empty(n)
-        u[idx.order] = u_sorted
+        return u_sorted
+
+    def gradient_weights(self) -> np.ndarray:
+        """Weights u (original record order) such that grad l(M beta) = M' u."""
+        u = np.empty(self.fs.shape)
+        u[self.idx.order] = self.sorted_gradient_weights()
         return u
 
 
@@ -198,7 +210,8 @@ def neg_log_partial_likelihood(fvalues, data: SurvivalDataset) -> float:
     core.  All-censored data give 0.0.
     """
     fvalues = as_record_values(fvalues, len(data), "relative-risk values")
-    return LikelihoodPass(fvalues, data.risk_index()).loss()
+    idx = data.risk_index()
+    return LikelihoodPass(fvalues[idx.order], idx).loss()
 
 
 def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
@@ -208,7 +221,8 @@ def likelihood_gradient_weights(fvalues, data: SurvivalDataset) -> np.ndarray:
     first Gateaux derivative of the likelihood with respect to each record's
     function value.
     """
-    return LikelihoodPass(np.asarray(fvalues, dtype=float), data.risk_index()).gradient_weights()
+    idx = data.risk_index()
+    return LikelihoodPass(np.asarray(fvalues, dtype=float)[idx.order], idx).gradient_weights()
 
 
 def build_representer_basis(gram, constant_norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +500,8 @@ class PenalisedPoint:
         self.fitted = problem.prec_design @ w
         if not np.isfinite(self.fitted).all():
             raise ValueError("relative-risk values must be finite")
-        self.likelihood = LikelihoodPass(self.fitted, problem.dataset.risk_index())
+        idx = problem.dataset.risk_index()
+        self.likelihood = LikelihoodPass(self.fitted[idx.order], idx)
 
     def gradient(self, gamma: float) -> np.ndarray:
         weights = self.likelihood.gradient_weights()

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survcare import (
     AllFitsFailed,
@@ -37,7 +39,7 @@ from survcare.model_selection import (
     _fit_gamma_path,
     fit_care_path,
 )
-from theta_grid_oracle import recursive_theta_points
+from theta_grid_oracle import exhaustive_care_losses, recursive_theta_points
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +375,8 @@ class TestThetaScan:
             assert e.valid_loss == pytest.approx(validation_loss(combo, valid), rel=1e-12)
 
     def test_a_scan_larger_than_one_block_matches_the_single_vector_loss(self, cv_setup, sob1):
-        # 231 points: one full block of combinations and a partial second
+        # 231 points, more than one block: the scan scores only the points
+        # that can still win and leaves +inf at the others
         train, valid, truth = cv_setup
         rng = np.random.default_rng(12)
         specs = [ExternalSpec(name="ext", fn=truth.external),
@@ -388,14 +391,206 @@ class TestThetaScan:
             specs[1].valid_values - specs[1].train_values.mean(),
         ])
         assert report.care_losses.shape == (len(report.care_gammas), len(thetas))
-        for gamma, losses in zip(report.care_gammas, report.care_losses):
+        exhaustive = np.empty(report.care_losses.shape)
+        for gamma, losses, singles in zip(report.care_gammas, report.care_losses, exhaustive):
             kernel = fits[gamma].predict_many(valid.covariates)
-            for theta, loss in zip(thetas.points, losses):
-                combo = (1.0 - theta.sum()) * kernel + theta @ centred
-                assert loss == pytest.approx(validation_loss(combo, valid), rel=1e-12)
-        level, p = np.unravel_index(np.argmin(report.care_losses), report.care_losses.shape)
+            for p, theta in enumerate(thetas.points):
+                singles[p] = validation_loss((1.0 - theta.sum()) * kernel + theta @ centred, valid)
+            scored = np.isfinite(losses)
+            assert 0 < scored.sum() < len(thetas)
+            assert (losses[~scored] == np.inf).all()
+            assert losses[scored] == pytest.approx(singles[scored], rel=1e-12)
+            assert (singles[~scored] > singles.min()).all()
+        level, p = np.unravel_index(np.argmin(exhaustive), exhaustive.shape)
         assert (care.gamma, care.theta) == (report.care_gammas[level],
                                             tuple(thetas.points[p].tolist()))
+
+
+def assert_matches_the_exhaustive_scan(report, fits, care, valid) -> np.ndarray:
+    """Check the pruned scan against the exhaustive one and return the latter's losses.
+
+    Every scored loss is the exhaustive loss bit for bit, every dropped point
+    (+inf) lies strictly above its level's minimum, and the selection is the
+    exhaustive scan's first minimiser.
+    """
+    kernel = [fits[g].predict_many(valid.covariates) for g in report.care_gammas]
+    exhaustive = exhaustive_care_losses(kernel, [e.valid_values for e in care.externals],
+                                        report.care_thetas, valid)
+    assert report.care_losses.shape == exhaustive.shape
+    scored = np.isfinite(report.care_losses)
+    assert report.care_losses[scored].tobytes() == exhaustive[scored].tobytes()
+    assert (report.care_losses[~scored] == np.inf).all()
+    above_minimum = exhaustive > exhaustive.min(axis=1, keepdims=True)
+    assert above_minimum[~scored].all()
+    level, p = divmod(int(np.argmin(exhaustive)), exhaustive.shape[1])
+    assert (report.gamma_check, report.theta_check) == (
+        report.care_gammas[level], tuple(report.care_thetas[p].tolist()))
+    assert (care.gamma, care.theta) == (report.gamma_check, report.theta_check)
+    return exhaustive
+
+
+def takes_log_space(values, data) -> bool:
+    """Whether a shifted risk-set sum of ``values`` falls below the normal range."""
+    idx = data.risk_index()
+    fs = np.asarray(values)[idx.order]
+    suffix = np.exp(fs - fs.max())[::-1].cumsum()[::-1]
+    return bool((suffix[idx.event_start] < np.finfo(float).tiny).any())
+
+
+@st.composite
+def scan_problems(draw):
+    """Univariate data with tied times and censoring, M in {1, 2, 3} externals
+    (tables or callables) and a lattice of resolution up to 20."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample(n):
+        distinct = draw(st.integers(1, n))  # few distinct times: many ties
+        censored = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+        return SurvivalDataset(rng.uniform(0.0, 1.0, (n, 1)),
+                               rng.integers(1, distinct + 1, n) / distinct,
+                               rng.uniform(size=n) < censored)
+
+    train, valid = sample(draw(st.integers(4, 60))), sample(draw(st.integers(2, 60)))
+    specs = []
+    for m in range(draw(st.integers(1, 3))):
+        scale = draw(st.sampled_from([0.1, 1.0, 5.0]))
+        if draw(st.booleans()):
+            specs.append(ExternalSpec(name=f"table_{m}",
+                                      train_values=scale * rng.normal(size=len(train)),
+                                      valid_values=scale * rng.normal(size=len(valid))))
+        else:
+            a, b = rng.normal(size=2)
+            specs.append(ExternalSpec(
+                name=f"fn_{m}",
+                fn=lambda xs, a=a, b=b, scale=scale: scale * np.sin(a + 6.0 * b * xs[:, 0])))
+    return train, valid, specs, theta_grid(len(specs), draw(st.integers(1, 20)))
+
+
+class TestPrunedScan:
+    """The scan scores only the points that can still win, with the exhaustive selection."""
+
+    # derandomised: the examples are the same on every run
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(problem=scan_problems())
+    def test_matches_the_exhaustive_scan(self, problem, sob1):
+        train, valid, specs, thetas = problem
+        try:
+            care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, specs, thetas)
+        except AllFitsFailed:
+            assume(False)
+        assert_matches_the_exhaustive_scan(report, fits, care, valid)
+
+    def test_all_censored_validation_data_tie_every_point(self, cv_setup, sob1, monkeypatch):
+        # the first pass's planes are flat and cut nothing, so the rest of
+        # each level is scored without gradients
+        passes = []
+        original = model_selection.LikelihoodPass
+        monkeypatch.setattr(model_selection, "LikelihoodPass",
+                            lambda fs, idx: passes.append(fs.shape[1]) or original(fs, idx))
+        train, valid, truth = cv_setup
+        valid = SurvivalDataset(valid.covariates, valid.times, np.ones(len(valid), dtype=bool))
+        rng = np.random.default_rng(3)
+        specs = [ExternalSpec(name="ext", fn=truth.external)] + [
+            ExternalSpec(name=f"table_{m}", train_values=rng.normal(size=len(train)),
+                         valid_values=rng.normal(size=len(valid))) for m in range(2)]
+        thetas = theta_grid(3, 8)
+        assert len(thetas) == 165 > model_selection._ROW_BLOCK
+        care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, specs, thetas)
+        assert (report.care_losses == 0.0).all()  # every point scored, every loss 0
+        assert report.gamma_check == report.care_gammas[0]
+        assert report.theta_check == (0.0, 0.0, 0.0)
+        assert_matches_the_exhaustive_scan(report, fits, care, valid)
+        assert passes == [15] * len(report.care_gammas)  # every 11th of 165 points
+
+    def test_twin_externals_tie_exactly(self, cv_setup, sob1):
+        # quarter-integer values, a zero training mean and sixteenths on the
+        # grid: every product and sum is exact, so points with equal theta
+        # sums give byte-equal combinations, and a minimiser is tied
+        train, valid, truth = cv_setup
+        values = np.round(4.0 * truth.external(valid.covariates)) / 4.0
+        spec = ExternalSpec(name="twin", train_values=np.zeros(len(train)), valid_values=values)
+        thetas = theta_grid(2, 16)
+        assert len(thetas) == 153 > model_selection._ROW_BLOCK
+        care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, [spec, spec], thetas)
+        exhaustive = assert_matches_the_exhaustive_scan(report, fits, care, valid)
+        best = exhaustive.min(axis=1, keepdims=True)
+        tied = (exhaustive == best).sum(axis=1)
+        assert tied.max() > 1
+        # every tied minimiser of a level was scored
+        assert (report.care_losses[exhaustive == best] == exhaustive[exhaustive == best]).all()
+
+    def test_an_external_equal_to_a_level_s_predictions(self, cv_setup, sob1):
+        # at that level the first external's direction is exactly zero, so
+        # the loss is flat along it and its planes cannot cut along it
+        train, valid, truth = cv_setup
+        _, plain, fits = fit_care_path(train, valid, sob1, SMALL_GRID)
+        gamma = plain.gamma_hat
+        copy = ExternalSpec(name="copy", train_values=np.zeros(len(train)),
+                            valid_values=fits[gamma].predict_many(valid.covariates))
+        specs = [copy, ExternalSpec(name="ext", fn=truth.external)]
+        care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, specs,
+                                           theta_grid(2, 20))
+        assert gamma in report.care_gammas
+        exhaustive = assert_matches_the_exhaustive_scan(report, fits, care, valid)
+        level = report.care_gammas.index(gamma)
+        # the loss at that level depends on the second weight alone
+        second = report.care_thetas[:, 1]
+        for weight in np.unique(second):
+            same = exhaustive[level, second == weight]
+            assert np.ptp(same) <= 1e-12 * (1.0 + abs(same).max())
+
+    def test_a_level_spread_past_the_exponent_range(self, cv_setup, sob1):
+        # the wide external falls by 4000 along the validation time order,
+        # so late risk sets' shifted sums underflow near its vertex
+        train, valid, _ = cv_setup
+        rng = np.random.default_rng(6)
+        falling = np.empty(len(valid))
+        falling[valid.risk_index().order] = np.linspace(2000.0, -2000.0, len(valid))
+        wide = ExternalSpec(name="wide", train_values=rng.uniform(-2000.0, 2000.0, len(train)),
+                            valid_values=falling)
+        narrow = ExternalSpec(name="narrow", train_values=rng.normal(size=len(train)),
+                              valid_values=rng.normal(size=len(valid)))
+        with pytest.warns(UserWarning, match="sup-norm"):
+            care, report, fits = fit_care_path(train, valid, sob1, SMALL_GRID, [wide, narrow],
+                                               theta_grid(2, 20))
+        assert_matches_the_exhaustive_scan(report, fits, care, valid)
+        # some scored combination takes the log-space paths
+        kernel = {g: fits[g].predict_many(valid.covariates) for g in report.care_gammas}
+        centred = np.stack([e.valid_values for e in care.externals])
+        scored = [(1.0 - theta.sum()) * kernel[e.gamma] + np.asarray(e.theta) @ centred
+                  for e in report.care_entries for theta in [np.asarray(e.theta)]]
+        assert any(takes_log_space(f, valid) for f in scored)
+
+    def test_peak_memory_of_a_53130_point_scan(self):
+        # five externals at resolution 20 on 400 validation points: one
+        # (n x |Theta|) array of combinations alone would take 170 MB
+        data, truth = simulate_dataset(DgpConfig("univariate"), 800, 21)
+        train, valid = split_train_validation(data, 22)
+        rng = np.random.default_rng(23)
+        specs = [ExternalSpec(name="ext", fn=truth.external)] + [
+            ExternalSpec(name=f"table_{m}", train_values=rng.normal(size=len(train)),
+                         valid_values=rng.normal(size=len(valid))) for m in range(4)]
+        thetas = theta_grid(5, 20)
+        assert len(thetas) == 53130 and len(valid) == 400
+        peaks = []
+        original = model_selection._scan_level
+
+        def traced(*args):
+            # the scan's own allocations: its inputs exist before it starts
+            tracemalloc.start()
+            try:
+                losses = original(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return losses
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_selection, "_scan_level", traced)
+            _, report = fit_care(train, valid, Sobolev1Kernel(shift=1.0), SMALL_GRID,
+                                 specs, thetas)
+        assert len(peaks) == len(report.care_gammas) > 0
+        assert max(peaks) < 25e6
 
 
 class TestPathPredictions:
@@ -528,6 +723,23 @@ class TestCvReport:
         with pytest.raises(TypeError):
             view[0] = expected[0]
 
+    def test_entries_view_skips_dropped_points(self):
+        losses = np.arange(12.0).reshape(2, 6)
+        losses[0, [0, 4]] = losses[1, 5] = np.inf
+        report = CvReport(care_gammas=(0.1, 1.0), care_thetas=theta_grid(2, 2).points,
+                          care_losses=losses)
+        thetas = list(map(tuple, report.care_thetas.tolist()))
+        expected = [CareEntry(gamma, thetas[p], losses[level, p])
+                    for level, gamma in enumerate(report.care_gammas)
+                    for p in range(6) if np.isfinite(losses[level, p])]
+        view = report.care_entries
+        assert len(view) == len(expected) == 9
+        assert list(view) == expected == view[:]
+        assert [view[i] for i in range(-9, 9)] == expected * 2
+        assert view[::4] == expected[::4]
+        with pytest.raises(IndexError):
+            view[9]
+
     def test_csv_bytes_match_the_row_formula(self, cv_setup, sob1, scanned, tmp_path):
         path = tmp_path / "care.csv"
         scanned.to_csv(path)
@@ -538,16 +750,20 @@ class TestCvReport:
         assert path.read_bytes() == csv_bytes_by_row_formula(report)
 
     def test_csv_bytes_match_a_cell_by_cell_reference(self, tmp_path):
-        # numpy floats in the entries, an unconverged level outside the scan
-        # and thirds on the grid: every float cell is repr(float(v))
+        # numpy floats in the entries, an unconverged level outside the scan,
+        # thirds on the grid and dropped (+inf) points, the last of a level
+        # among them: every float cell is repr(float(v)), and a dropped
+        # point has no row
         rng = np.random.default_rng(4)
         gammas = (1e-5, 0.1, 2.5)
         entries = [GammaEntry(np.float64(g), np.float64(rng.normal()), float(rng.normal()), c)
                    for g, c in zip(gammas + (7.0,), (True, False, True, True))]
         levels = (gammas[0], gammas[2], 7.0)
+        losses = rng.normal(size=(3, len(theta_grid(2, 3))))
+        losses[0, 1] = losses[1, -1] = np.inf
+        losses[2, 3:7] = np.inf
         report = CvReport(gamma_entries=entries, care_gammas=levels,
-                          care_thetas=theta_grid(2, 3).points,
-                          care_losses=rng.normal(size=(3, len(theta_grid(2, 3)))))
+                          care_thetas=theta_grid(2, 3).points, care_losses=losses)
         path = tmp_path / "care.csv"
         report.to_csv(path)
         sink = io.StringIO(newline="")
@@ -557,10 +773,13 @@ class TestCvReport:
         for level, gamma in enumerate(levels):
             entry = by_gamma[gamma]
             for p, theta in enumerate(report.care_thetas):
+                if losses[level, p] == np.inf:
+                    continue
                 writer.writerow([repr(float(v)) for v in (gamma, *theta, entry.train_loss,
                                                           report.care_losses[level, p])]
                                 + [int(entry.converged)])
         assert path.read_bytes() == sink.getvalue().encode("utf-8")
+        assert len(report.care_entries) == losses.size - 6 == sink.getvalue().count("\n") - 1
 
     def test_d10_theta_scan_retains_little_memory(self):
         # 1,771 weight vectors per level: one object per (level, point)
@@ -581,7 +800,10 @@ class TestCvReport:
         finally:
             tracemalloc.stop()
         assert retained < 0.5e6
-        assert len(result[1].care_entries) % len(thetas) == 0 < len(result[1].care_entries)
+        report = result[1]
+        scored_levels = {e.gamma for e in report.care_entries}
+        assert scored_levels == set(report.care_gammas) != set()
+        assert len(report.care_entries) < len(report.care_gammas) * len(thetas)
 
     def test_csv_round_trip(self, cv_setup, sob1, tmp_path):
         train, valid, truth = cv_setup

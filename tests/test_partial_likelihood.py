@@ -150,6 +150,27 @@ class TestStackedLikelihood:
         if not data.events.any():
             assert np.all(losses == 0.0)
 
+    # derandomised: the examples are the same on every run
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(problem=stacked_problems())
+    def test_column_weights_match_each_column_alone(self, problem):
+        data, stack = problem
+        idx = data.risk_index()
+        likelihood = partial_likelihood.LikelihoodPass(stack.T[idx.order], idx)
+        assert likelihood.loss().tobytes() == stacked_losses(stack, data).tobytes()
+        weights = likelihood.sorted_gradient_weights()
+        assert weights.shape == (len(data), stack.shape[0])
+        # one overflowing column sends the whole block to the log-space
+        # weights; below a spread of 700 no reciprocal risk sum can overflow
+        alone = all(np.ptp(row) < 700.0 for row in stack)
+        for row, column in zip(stack, weights.T):
+            single = likelihood_gradient_weights(row, data)[idx.order]
+            if alone:
+                assert column.tobytes() == single.tobytes()
+            floor = 1e-15 * max(1.0, np.abs(row).max())
+            np.testing.assert_allclose(column, naive_gradient_weights(row, data)[idx.order],
+                                       rtol=1e-12, atol=floor)
+
     def test_suffix_max_fallback_is_reached(self, small_dataset):
         # f falling by 4000 along the time order underflows the shifted
         # suffix sums of the late events' risk sets into the log-space path
@@ -537,7 +558,8 @@ class TestNoWarningEscapes:
 
     def test_running_sum_overflow_takes_the_log_space_weights(self, small_dataset):
         data, f = no_warning_cases(small_dataset)["running_sum_overflows"]
-        likelihood = partial_likelihood.LikelihoodPass(f, data.risk_index())
+        idx = data.risk_index()
+        likelihood = partial_likelihood.LikelihoodPass(f[idx.order], idx)
         exponents = likelihood.max - likelihood.log_risk
         assert exponents.max() < math.log(np.finfo(float).max) - 1.0
         with np.errstate(over="ignore"):
